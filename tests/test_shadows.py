@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbcs import (BetaDistribution, MeasurementRecord, PauliString,
-                  StateVector, SingleReference, MultiReference, uniform_beta,
-                  sample_basis, measure_state, single_shot_estimate,
-                  run_protocol, exact_variance, parse_observable)
+from lbcs import (BetaDistribution, MeasurementRecord, ObservableSum,
+                  PauliString, StateVector, SingleReference, MultiReference,
+                  uniform_beta, sample_basis, measure_state,
+                  single_shot_estimate, run_protocol, exact_variance,
+                  parse_observable, build_grouping, grouping_protocol,
+                  l1_protocol)
 from lbcs.shadows import (DivergenceError, make_rng, sample_basis_labels,
-                          check_divergence)
+                          sample_outcomes, check_divergence)
+from lbcs.states import born_probabilities
 
 import oracles
 
@@ -124,6 +127,117 @@ class TestRunProtocol:
         h = parse_observable("1.0 Z\n")
         with pytest.raises(ValueError):
             run_protocol(h, ZERO, uniform_beta(1), 0, seed=0)
+
+
+def reference_report(h, v, beta, shots, seed):
+    """run_protocol's report, one shot at a time through the public
+    per-shot path, on the same basis labels and outcome uniforms."""
+    rng = make_rng(seed)
+    labels = sample_basis_labels(beta, shots, rng)
+    u = rng.random(shots)
+    estimates = []
+    for row, us in zip(labels, u):
+        basis = PauliString.from_labels(row)
+        idx = int(sample_outcomes(born_probabilities(v, basis), us))
+        outcomes = tuple(1 - 2 * ((idx >> (h.n - 1 - i)) & 1)
+                         for i in range(h.n))
+        record = MeasurementRecord(basis, outcomes)
+        estimates.append(single_shot_estimate(h, record, beta))
+    estimates = np.array(estimates)
+    var = float(estimates.var(ddof=1)) if shots > 1 else 0.0
+    return float(estimates.mean()), var
+
+
+class TestRunProtocolDifferential:
+    """run_protocol against the per-shot reference on identical draws."""
+
+    def check(self, h, v, beta, shots, seed):
+        report = run_protocol(h, v, beta, shots, seed)
+        mean, var = reference_report(h, v, beta, shots, seed)
+        assert report.mean == pytest.approx(mean, rel=1e-12, abs=1e-12)
+        assert report.variance == pytest.approx(var, rel=1e-12, abs=1e-12)
+
+    def test_random_cases(self, rng):
+        for case in range(12):
+            n = int(rng.integers(1, 7))
+            h = oracles.random_hamiltonian(rng, n, max_terms=8)
+            v = oracles.random_state(rng, n)
+            beta = (uniform_beta(n) if case % 3 == 0
+                    else oracles.random_beta(rng, n))
+            self.check(h, v, beta, int(rng.integers(1, 400)), case)
+
+    def test_beta_with_exact_zeros(self, rng):
+        for case in range(6):
+            n = int(rng.integers(2, 7))
+            h = oracles.random_hamiltonian(rng, n, max_terms=8)
+            v = oracles.random_state(rng, n)
+            rows = rng.uniform(0.1, 1.0, size=(n, 3))
+            rows[rng.random((n, 3)) < 0.3] = 0.0
+            rows[rows.sum(axis=1) == 0.0, 2] = 1.0
+            beta = BetaDistribution(n, rows / rows.sum(axis=1, keepdims=True))
+            self.check(h, v, beta, 300, 100 + case)
+
+    def test_identity_only_hamiltonian(self, rng):
+        h = ObservableSum(3, {}, 1.25)
+        v = oracles.random_state(rng, 3)
+        self.check(h, v, oracles.random_beta(rng, 3), 50, 3)
+        report = run_protocol(h, v, uniform_beta(3), 50, 3)
+        assert (report.mean, report.variance) == (1.25, 0.0)
+
+    def test_single_shot(self, rng):
+        for seed in range(5):
+            n = int(rng.integers(1, 7))
+            h = oracles.random_hamiltonian(rng, n, max_terms=8)
+            v = oracles.random_state(rng, n)
+            self.check(h, v, oracles.random_beta(rng, n), 1, seed)
+
+
+GOLDEN_H = """0.7 IIIII
+-1.3 ZZIII
+0.45 XIXII
+0.8 IYYIZ
+-0.25 ZIIZX
+0.6 IIYXI
+0.35 YXZYZ
+-0.9 IIIIZ
+"""
+
+# (protocol, seed, shots, mean, variance), recorded from the per-basis
+# sampler that the qubit-by-qubit one replaced
+GOLDEN_REPORTS = [
+    ("shadows", 0, 1, 4.75, 0.0),
+    ("lbcs", 0, 1, 4.0, 0.0),
+    ("ldf", 0, 1, -0.8499999999999999, 0.0),
+    ("l1", 0, 1, -3.95, 0.0),
+    ("shadows", 7, 1001, 1.4156843156843155, 51.71162875624376),
+    ("lbcs", 7, 1001, 1.3264402264402264, 58.76293799311799),
+    ("ldf", 7, 1001, 1.3994077351220209, 12.573790312136843),
+    ("l1", 7, 1001, 1.5500999000999007, 20.920729990009992),
+    ("shadows", 2026, 6000, 1.6219750000000002, 79.28368479684114),
+    ("lbcs", 2026, 6000, 1.0999166666666667, 52.49051081893279),
+    ("ldf", 2026, 6000, 1.4515095238095244, 12.390006463911789),
+    ("l1", 2026, 6000, 1.5261500000000006, 20.94346675529255),
+]
+
+
+@pytest.mark.parametrize("protocol,seed,shots,mean,variance", GOLDEN_REPORTS)
+def test_golden_reports(protocol, seed, shots, mean, variance):
+    h = parse_observable(GOLDEN_H)
+    rng = make_rng(2718)
+    amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    v = StateVector(5, amps / np.linalg.norm(amps))
+    beta = BetaDistribution(5, np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6],
+                                         [0.5, 0.0, 0.5], [0.1, 0.8, 0.1],
+                                         [0.25, 0.25, 0.5]]))
+    report = {
+        "shadows": lambda: run_protocol(h, v, uniform_beta(5), shots, seed),
+        "lbcs": lambda: run_protocol(h, v, beta, shots, seed),
+        "ldf": lambda: grouping_protocol(h, build_grouping(h), v, shots, seed),
+        "l1": lambda: l1_protocol(h, v, shots, seed),
+    }[protocol]()
+    assert (report.shots, report.seed) == (shots, seed)
+    assert report.mean == pytest.approx(mean, rel=1e-12, abs=1e-12)
+    assert report.variance == pytest.approx(variance, rel=1e-12, abs=1e-12)
 
 
 class TestExactVariance:
