@@ -273,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lbcs",
         description="Measurement-bias optimization and variance comparison "
                     "for Pauli-sum observable estimation.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker threads (results are unaffected)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seed=True):

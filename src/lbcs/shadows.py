@@ -7,7 +7,11 @@ locally-biased one; both share the inverse-probability estimator
 
 Monte Carlo sampling uses a counter-based Philox generator keyed by the
 run seed, consumed in a fixed order (all basis draws, then all outcome
-draws), so results are reproducible bit-for-bit.
+draws), so results are reproducible bit-for-bit.  ``run_protocol`` streams
+shots in chunks of bounded size: it reads each chunk's uniforms at their
+place in that order, draws every shot's outcome qubit by qubit from the
+basis-rotated amplitudes (``sample_outcome_indices``), and evaluates the
+estimates with uint64 mask algebra over the terms.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ import numpy as np
 
 from .hamiltonian import ObservableSum
 from .pauli import I, X, Y, Z, LABEL_CHARS, PauliError, PauliString, f_factor
-from .states import (MultiReference, SingleReference, StateVector,
-                     born_probabilities, multireference_density_expectation,
+from .states import (BASIS_ROTATIONS, MultiReference, SingleReference,
+                     StateVector, born_probabilities,
+                     multireference_density_expectation,
                      observable_expectation, reference_expectation)
 
 ZERO_PROBABILITY = 1e-12  # beta entries below this count as exact zeros
@@ -219,51 +224,148 @@ def _term_inverse_factors(data: _TermData, inv: np.ndarray) -> np.ndarray:
 
 # -- Monte Carlo protocol ------------------------------------------------
 
+# Shots per chunk of run_protocol.  Reports do not depend on it; a chunk
+# is halved until its trie levels and estimate table fit the caps below.
+_CHUNK_SHOTS = 4096
+_CHUNK_AMPLITUDES = 1 << 21   # amplitudes held by one trie level
+_CHUNK_ENTRIES = 1 << 22      # shots x terms entries of one estimate table
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+_ROTATIONS = np.stack([BASIS_ROTATIONS[code] for code in (X, Y, Z)])
+# |c0|^2 = |r00|^2 |lo|^2 + |r01|^2 |hi|^2 + 2 Re(conj(r00) r01 <lo, hi>)
+_LO_WEIGHT = np.abs(_ROTATIONS[:, 0, 0]) ** 2
+_HI_WEIGHT = np.abs(_ROTATIONS[:, 0, 1]) ** 2
+_CROSS_WEIGHT = 2.0 * _ROTATIONS[:, 0, 0].conj() * _ROTATIONS[:, 0, 1]
+
+
+def _chunk_shots(n: int, terms: int) -> int:
+    shots = _CHUNK_SHOTS
+    while shots > 1 and (shots * terms > _CHUNK_ENTRIES or any(
+            min(shots, 6 ** k) << (n - k) > _CHUNK_AMPLITUDES
+            for k in range(1, n))):
+        shots //= 2
+    return shots
+
+
+def _rng_at(seed: int, offset: int) -> np.random.Generator:
+    """The run's Philox stream with its first ``offset`` doubles consumed."""
+    bits = np.random.Philox(key=seed)
+    bits.advance(offset // 4)    # one counter step yields four doubles
+    rng = np.random.Generator(bits)
+    rng.random(offset % 4)
+    return rng
+
+
+def sample_outcome_indices(amps: np.ndarray, labels: np.ndarray,
+                           u: np.ndarray) -> np.ndarray:
+    """Outcome index of each shot, drawn qubit by qubit.
+
+    Shot s measures qubit i in basis ``labels[s, i]`` and inverts the
+    big-endian Born CDF at ``u[s]``.  That CDF factorises most
+    significant qubit first, so the shots walk a trie whose nodes are
+    the amplitude blocks of outcome prefixes.  At level k a node's halves
+    lo, hi give the bit-0 mass of every basis label in closed form; the
+    bit is ``u >= p0 / (p0 + p1)``, u is rescaled into the chosen branch,
+    and each (node, label, bit) taken by some shot becomes a node of
+    level k + 1: its block is row ``bit`` of the label's 2x2 rotation
+    applied to (lo, hi).  A uniform within rounding of a CDF boundary
+    may take the other branch than
+    ``sample_outcomes(born_probabilities(...), u)`` does.
+    """
+    shots, n = labels.shape
+    blocks = amps[None, :]
+    node = np.zeros(shots, dtype=np.int64)
+    idx = np.zeros(shots, dtype=np.uint64)
+    for k in range(n):
+        half = blocks.shape[1] // 2
+        lo, hi = blocks[:, :half], blocks[:, half:]
+        nlo = np.vecdot(lo, lo).real
+        nhi = np.vecdot(hi, hi).real
+        p0 = (np.outer(nlo, _LO_WEIGHT) + np.outer(nhi, _HI_WEIGHT)
+              + np.outer(np.vecdot(lo, hi), _CROSS_WEIGHT).real)
+        label = labels[:, k] - 1
+        t = p0[node, label] / (nlo + nhi)[node]
+        bit = u >= t
+        u = np.where(bit, u - t, u) / np.where(bit, 1.0 - t, t)
+        u = np.minimum(u, _BELOW_ONE)
+        idx = (idx << np.uint64(1)) | bit
+        child, node = np.unique(6 * node + 2 * label + bit,
+                                return_inverse=True)
+        rows = _ROTATIONS.reshape(6, 2)[child % 6]
+        parent = child // 6
+        blocks = rows[:, :1] * lo[parent] + rows[:, 1:] * hi[parent]
+    return idx
+
+
+def _chunk_estimates(data: _TermData, weights: np.ndarray,
+                     labels: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """Single-shot estimates less the identity coefficient, by mask algebra.
+
+    Term Q agrees with basis P iff ((x_P ^ x_Q) | (z_P ^ z_Q)) & supp_Q
+    is zero (tested with x and z packed into one word), and then adds
+    weight * (-1)^parity(outcome & supp_Q).
+    """
+    n = np.uint64(data.n)
+    place = np.uint64(1) << np.arange(data.n - 1, -1, -1, dtype=np.uint64)
+    x_b = ((labels != Z) * place).sum(axis=1, dtype=np.uint64)
+    z_b = ((labels != X) * place).sum(axis=1, dtype=np.uint64)
+    miss = ((x_b << n) | z_b)[:, None] ^ ((data.x_masks << n) | data.z_masks)
+    miss &= (data.supp_masks << n) | data.supp_masks
+    shot, term = np.divmod(np.flatnonzero(miss == 0), data.count)
+    signs = 1.0 - 2.0 * _parity(outcomes[shot] & data.supp_masks[term])
+    return np.bincount(shot, weights=signs * weights[term],
+                       minlength=labels.shape[0])
+
+
+def _sequential_sum(total: float, values: np.ndarray) -> float:
+    """total + values[0] + values[1] + ..., added left to right, so a sum
+    over consecutive chunks does not depend on where they split."""
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])
+
+
 def run_protocol(h: ObservableSum, v: StateVector, beta: BetaDistribution,
                  shots: int, seed: int) -> EstimateReport:
     """Algorithm: S rounds of biased basis draws and single-qubit readout.
 
-    With uniform beta this is plain classical shadows.  Shots sharing a
-    basis are processed together; the estimate stream is identical to a
-    strictly sequential implementation.
+    With uniform beta this is plain classical shadows.  Shots run in
+    chunks of bounded size, so memory does not grow with ``shots``.  A
+    chunk's outcomes are drawn qubit by qubit (``sample_outcome_indices``)
+    and its estimates come from mask algebra over the terms.  The stream
+    is the one a single draw would consume: all ``shots x n`` basis
+    uniforms, then all ``shots`` outcome uniforms; each chunk reads its
+    share of both at their place in that order.
+
+    Each shot's estimate equals the per-shot path ``measure_state`` +
+    ``single_shot_estimate`` on the same uniforms, up to rounding.  The
+    one exception is a uniform within rounding of a CDF boundary, which
+    may in principle take the other outcome.  Mean and variance come from
+    sums of the estimates less the identity coefficient, added left to
+    right, so the report does not depend on the chunk size.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if h.n != v.n or beta.n != h.n:
         raise PauliError("qubit count mismatch")
-    rng = make_rng(seed)
-    labels = sample_basis_labels(beta, shots, rng)
-    u = rng.random(shots)
-
     data = _TermData(h)
-    inv = _inverse_rows(beta)
-    invf = _term_inverse_factors(data, inv)
+    invf = _term_inverse_factors(data, _inverse_rows(beta))
     # terms touching a zero-probability label never agree with any
     # sampled basis; zero them so the inf placeholder cannot leak
-    invf = np.where(np.isfinite(invf), invf, 0.0)
+    weights = data.coeffs * np.where(np.isfinite(invf), invf, 0.0)
 
-    powers = 3 ** np.arange(h.n, dtype=np.int64)
-    basis_ids = (labels - 1) @ powers
-    estimates = np.empty(shots, dtype=float)
+    basis_rng = make_rng(seed)
+    outcome_rng = _rng_at(seed, shots * h.n)
+    chunk = _chunk_shots(h.n, data.count)
+    s1 = s2 = 0.0
+    for start in range(0, shots, chunk):
+        size = min(chunk, shots - start)
+        labels = sample_basis_labels(beta, size, basis_rng)
+        outcomes = sample_outcome_indices(v.amplitudes, labels,
+                                          outcome_rng.random(size))
+        dev = _chunk_estimates(data, weights, labels, outcomes)
+        s1 = _sequential_sum(s1, dev)
+        s2 = _sequential_sum(s2, dev * dev)
 
-    for bid in np.unique(basis_ids):
-        sel = np.nonzero(basis_ids == bid)[0]
-        row = labels[sel[0]]
-        basis = PauliString.from_labels(row)
-        probs = born_probabilities(v, basis)
-        outcomes = sample_outcomes(probs, u[sel]).astype(np.uint64)
-        agree = np.all((data.labels == 0) | (data.labels == row[None, :]),
-                       axis=1)
-        if not np.any(agree):
-            estimates[sel] = h.identity_coefficient
-            continue
-        weights = data.coeffs[agree] * invf[agree]
-        signs = 1.0 - 2.0 * _parity(
-            outcomes[:, None] & data.supp_masks[agree][None, :])
-        estimates[sel] = h.identity_coefficient + signs @ weights
-
-    mean = float(estimates.mean())
-    var = float(estimates.var(ddof=1)) if shots > 1 else 0.0
+    mean = h.identity_coefficient + s1 / shots
+    var = max((s2 - s1 * s1 / shots) / (shots - 1), 0.0) if shots > 1 else 0.0
     return EstimateReport(mean, var, shots, seed)
 
 

@@ -9,8 +9,10 @@ from lbcs import (BetaDistribution, MeasurementRecord, ObservableSum,
                   single_shot_estimate, run_protocol, exact_variance,
                   parse_observable, build_grouping, grouping_protocol,
                   l1_protocol)
+from lbcs import shadows
 from lbcs.shadows import (DivergenceError, make_rng, sample_basis_labels,
-                          sample_outcomes, check_divergence)
+                          sample_outcome_indices, sample_outcomes,
+                          check_divergence)
 from lbcs.states import born_probabilities
 
 import oracles
@@ -190,6 +192,35 @@ class TestRunProtocolDifferential:
             h = oracles.random_hamiltonian(rng, n, max_terms=8)
             v = oracles.random_state(rng, n)
             self.check(h, v, oracles.random_beta(rng, n), 1, seed)
+
+
+class TestQubitSequentialSampler:
+    def test_indices_match_cdf_inversion(self, rng):
+        for n in (1, 3, 5, 8):
+            v = oracles.random_state(rng, n)
+            labels = rng.integers(1, 4, size=(3000, n))
+            u = rng.random(3000)
+            got = sample_outcome_indices(v.amplitudes, labels, u)
+            want = [int(sample_outcomes(
+                born_probabilities(v, PauliString.from_labels(row)), us))
+                for row, us in zip(labels, u)]
+            assert got.tolist() == want
+
+    def test_zero_amplitudes_never_drawn(self):
+        v = StateVector.from_bits("0110")
+        labels = np.full((500, 4), 3)
+        u = make_rng(4).random(500)
+        assert set(sample_outcome_indices(v.amplitudes, labels, u)) == {6}
+
+    @pytest.mark.parametrize("shots", [1, 50, 403])
+    def test_report_independent_of_chunk_size(self, rng, monkeypatch, shots):
+        h = oracles.random_hamiltonian(rng, 5, max_terms=8)
+        v = oracles.random_state(rng, 5)
+        beta = oracles.random_beta(rng, 5)
+        whole = run_protocol(h, v, beta, shots, seed=11)
+        monkeypatch.setattr(shadows, "_CHUNK_SHOTS", 7)
+        assert shadows._chunk_shots(5, 8) == 7
+        assert run_protocol(h, v, beta, shots, seed=11) == whole
 
 
 GOLDEN_H = """0.7 IIIII
