@@ -15,10 +15,10 @@ import numpy as np
 
 from .hamiltonian import ObservableSum, l1_norm, gamma_distribution
 from .pauli import I, Z, PauliError, PauliString, agrees_with_basis
-from .shadows import (EstimateReport, _TermData, _parity, make_rng,
-                      sample_outcomes)
+from .shadows import (EstimateReport, PairTable, _TermData, _parity,
+                      compatible_pairs, make_rng, sample_outcomes)
 from .states import (StateVector, born_probabilities, expectation,
-                     observable_expectation, pair_expectation)
+                     observable_expectation)
 
 
 class GroupingError(ValueError):
@@ -266,23 +266,27 @@ def grouping_exact_variance_both(h: ObservableSum, scheme: GroupingScheme,
 
     which is zero only when every A_k/kappa_k equals tr(rho H_0).
     """
-    mean0 = observable_expectation(h, v) - h.identity_coefficient
-    first = 0.0
-    second = 0.0
+    data = _TermData(h)
+    index = {q: t for t, q in enumerate(data.strings)}
+    group = np.full(data.count, -1)
     for k, coll in enumerate(scheme.collections):
-        if not coll:
-            continue
-        kappa = scheme.kappa[k]
-        coeffs = np.array([h.terms[q] for q in coll])
-        singles = np.array([expectation(v, q) for q in coll])
-        pair_sum = 0.0
-        for a, qa in enumerate(coll):
-            for b, qb in enumerate(coll):
-                pair_sum += coeffs[a] * coeffs[b] * pair_expectation(v, qa, qb)
-        group_mean_sq = float(coeffs @ singles) ** 2
-        first += pair_sum / kappa
-        second += (pair_sum - group_mean_sq) / kappa
-    return first - mean0 ** 2, second
+        group[[index[q] for q in coll]] = k
+    # members of one collection agree qubit-wise, so its pairs are in
+    # the pair table
+    a, j = compatible_pairs(data)
+    same = (group[a] == group[j]) & (group[a] >= 0)
+    a, j = a[same], j[same]
+    table = PairTable(data, a, j, scale=1.0 / scheme.kappa[group[a]])
+    pair_sum = float(table.weight @ v.pauli_traces(table.x, table.z))
+    singles = data.coeffs * v.pauli_traces(data.x_masks, data.z_masks)
+    member = group >= 0
+    means = np.bincount(group[member], weights=singles[member],
+                        minlength=scheme.k_groups)
+    used = np.bincount(group[member], minlength=scheme.k_groups) > 0
+    mean0 = singles.sum()
+    first = pair_sum - mean0 ** 2
+    second = pair_sum - float(means[used] ** 2 @ (1.0 / scheme.kappa[used]))
+    return first, second
 
 
 def grouping_exact_variance(h: ObservableSum, scheme: GroupingScheme,

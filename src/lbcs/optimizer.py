@@ -1,24 +1,34 @@
 """Cost functions for measurement-bias tuning and their fixed-point solver.
 
-Three costs are supported: the diagonal cost (convex, state-independent),
-the full single-reference cost over influential pairs, and the
-multi-reference generalization.  Minimization iterates a damped
-Lagrange fixed point: beta <- (1 - step) * beta + step * closed(beta),
-where closed(beta) is the ratio of inverse-weighted pair sums that must
-hold at optimality.
+Every cost is the estimator's traceless second moment, evaluated by the
+pair-table engine of ``shadows`` on a classical stand-in for the state:
+the diagonal cost keeps only the diagonal pairs (trace 1; convex and
+state-independent), the full cost takes every compatible pair on a
+single computational-basis reference, and the multi-reference cost on a
+superposition of K of them (K = 1 gives the full cost).  The table and
+its traces are built once per optimization; an iteration recomputes only
+the inverse-probability factors.
+
+Minimization iterates a damped Lagrange fixed point:
+beta <- (1 - step) * beta + step * closed(beta), where closed(beta)
+normalizes each qubit's row numerators -beta * dC/dbeta.  For all three
+costs a fixed point with positive rows (no entry floored) has dC/dbeta
+constant along each row: it is a KKT point of the cost on the product
+of simplices.  Only the diagonal cost is convex, so only there is such a
+point certainly the global minimum.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonian import ObservableSum
-from .pauli import I, Z, PauliString
-from .shadows import (BetaDistribution, ZERO_PROBABILITY, _TermData,
-                      _compatible_row, make_rng, uniform_beta)
+from .shadows import (BetaDistribution, PairTable, SecondMoment, _TermData,
+                      compatible_pairs, divergent_positions, make_rng,
+                      reciprocal, uniform_beta)
 from .states import MultiReference, SingleReference
 
 
@@ -67,229 +77,59 @@ class OptimizeResult:
         }
 
 
-# -- influential pairs ----------------------------------------------------
+# -- the costs as second moments -----------------------------------------
 
-def _xy_buckets(data: _TermData) -> dict:
-    """Group term indices by their label pattern restricted to X/Y
-    positions; all ordered pairs within a bucket are influential."""
-    buckets: dict[bytes, list] = {}
-    xy = np.where((data.labels == 1) | (data.labels == 2), data.labels, 0)
-    for t in range(data.count):
-        buckets.setdefault(xy[t].tobytes(), []).append(t)
-    return {k: np.array(v) for k, v in buckets.items()}
+def _cost_moment(data: _TermData, reference=None) -> SecondMoment:
+    """A cost as a second moment: over the diagonal pairs (product I,
+    trace 1) without a reference (diag), over every compatible pair on
+    the reference state otherwise (full, multiref)."""
+    if reference is None:
+        return SecondMoment(data.labels.T, data.coeffs ** 2)
+    if reference.n != data.n:
+        raise ValueError("reference state size mismatch")
+    return PairTable.compatible(data).moment(reference)
+
+
+def _evaluate(data: _TermData, moment: SecondMoment,
+              beta: BetaDistribution) -> float:
+    if divergent_positions(data, beta).size:
+        warnings.warn(
+            "beta vanishes at a position used by a Hamiltonian term; the "
+            "reported cost under-reports an infinite variance",
+            DivergenceWarning, stacklevel=3)
+    return moment.value(reciprocal(beta))
 
 
 def influential_pairs(h: ObservableSum) -> list:
     """All ordered traceless pairs (Q, R) with, per qubit, equal labels
     or an {I, Z} swap.  Includes the diagonal Q = R."""
     data = _TermData(h)
-    pairs = []
-    for idxs in _xy_buckets(data).values():
-        for a in idxs:
-            for b in idxs:
-                pairs.append((data.strings[a], data.strings[b]))
-    return pairs
-
-
-# -- cost evaluation ------------------------------------------------------
-
-def _cost_inverse(beta: BetaDistribution):
-    """Reciprocal rows with the vanishing-entry-to-zero convention."""
-    rows = beta.rows
-    inv = np.zeros_like(rows)
-    ok = rows > ZERO_PROBABILITY
-    inv[ok] = 1.0 / rows[ok]
-    return inv
-
-
-def _warn_if_divergent(data: _TermData, beta: BetaDistribution):
-    needed = np.zeros((data.n, 3), dtype=bool)
-    for t in range(data.count):
-        for i in range(data.n):
-            if data.labels[t, i] > 0:
-                needed[i, data.labels[t, i] - 1] = True
-    if np.any(needed & (beta.rows <= ZERO_PROBABILITY)):
-        warnings.warn(
-            "beta vanishes at a position used by a Hamiltonian term; the "
-            "reported cost under-reports an infinite variance",
-            DivergenceWarning, stacklevel=3)
+    a, j = compatible_pairs(data)
+    keep = data.x_masks[a] == data.x_masks[j]
+    pairs = [(data.strings[s], data.strings[t])
+             for s, t in zip(a[keep], j[keep])]
+    return pairs + [(r, q) for q, r in pairs if q != r]
 
 
 def cost_diag(h: ObservableSum, beta: BetaDistribution) -> float:
     """Convex diagonal cost: sum_Q alpha_Q^2 prod_supp 1/beta."""
     data = _TermData(h)
-    _warn_if_divergent(data, beta)
-    inv = _cost_inverse(beta)
-    invf = _term_products(data, inv)
-    return float((data.coeffs ** 2) @ invf)
-
-
-def _term_products(data: _TermData, inv: np.ndarray) -> np.ndarray:
-    gathered = inv[np.arange(data.n)[None, :],
-                   np.maximum(data.labels - 1, 0)]
-    return np.where(data.labels > 0, gathered, 1.0).prod(axis=1)
+    return _evaluate(data, _cost_moment(data), beta)
 
 
 def cost_full(h: ObservableSum, ref: SingleReference,
               beta: BetaDistribution) -> float:
-    """Influential-pair cost with reference signs on the I/Z swaps."""
-    if ref.n != h.n:
-        raise ValueError("reference state size mismatch")
+    """Influential-pair cost: the second moment on the reference state."""
     data = _TermData(h)
-    _warn_if_divergent(data, beta)
-    inv = _cost_inverse(beta)
-    m = np.array(ref.signs, dtype=float)
-    total = 0.0
-    for idxs in _xy_buckets(data).values():
-        lb = data.labels[idxs]
-        c = data.coeffs[idxs]
-        for a in range(len(idxs)):
-            eq = lb == lb[a][None, :]
-            binv = inv[np.arange(data.n), np.maximum(lb[a] - 1, 0)]
-            fprod = np.where(eq & (lb[a][None, :] > 0), binv[None, :],
-                             1.0).prod(axis=1)
-            msign = np.where(~eq, m[None, :], 1.0).prod(axis=1)
-            total += c[a] * float(c @ (fprod * msign))
-    return total
-
-
-def _g_factor(a: int, b: int, inv_entry: float, m: int):
-    if a == b:
-        return 1.0 if a == I else inv_entry
-    if {a, b} == {I, Z}:
-        return float(m)
-    return 0.0
-
-
-def _h_factor(a: int, b: int, m: int):
-    if a == b or (a != I and b != I):
-        return 0.0
-    w = a + b  # the non-identity side
-    if w == 1:       # X
-        return 1.0
-    if w == 2:       # Y
-        return m * 1j
-    return 0.0
-
-
-def _multiref_pair_value(qa: PauliString, qb: PauliString,
-                         ref: MultiReference, inv: np.ndarray) -> complex:
-    bits = [tuple(int(c) for c in b) for b in ref.bitstrings]
-    total = 0.0 + 0.0j
-    for k, lam_k in enumerate(ref.amplitudes):
-        for l, lam_l in enumerate(ref.amplitudes):
-            factor = lam_k * np.conj(lam_l)
-            for i in range(ref.n):
-                a, b = qa.label(i), qb.label(i)
-                mk = 1 - 2 * bits[k][i]
-                if bits[k][i] == bits[l][i]:
-                    entry = inv[i, a - 1] if a > 0 else 0.0
-                    factor *= _g_factor(a, b, entry, mk)
-                else:
-                    factor *= _h_factor(a, b, mk)
-                if factor == 0:
-                    break
-            total += factor
-    return total
+    return _evaluate(data, _cost_moment(data, ref), beta)
 
 
 def cost_multiref(h: ObservableSum, ref: MultiReference,
                   beta: BetaDistribution) -> float:
-    """Multi-component generalization of the influential-pair cost."""
-    if ref.n != h.n:
-        raise ValueError("reference state size mismatch")
+    """The second moment on the multi-component reference state; equals
+    cost_full for one component."""
     data = _TermData(h)
-    _warn_if_divergent(data, beta)
-    inv = _cost_inverse(beta)
-    total = 0.0 + 0.0j
-    for a in range(data.count):
-        js, _ = _compatible_row(data, _finite_inverse(beta), a)
-        for j in js:
-            val = _multiref_pair_value(data.strings[a], data.strings[j],
-                                       ref, inv)
-            contrib = data.coeffs[a] * data.coeffs[j] * val
-            total += contrib if j == a else 2.0 * contrib
-    if abs(total.imag) > 1e-9:
-        raise ValueError(
-            f"multi-reference cost has imaginary residue {total.imag!r}")
-    return float(total.real)
-
-
-def _finite_inverse(beta: BetaDistribution) -> np.ndarray:
-    # compatible-pair pruning only needs finite placeholders
-    return np.where(beta.rows > ZERO_PROBABILITY, 1.0 / np.maximum(
-        beta.rows, ZERO_PROBABILITY), 0.0)
-
-
-# -- closed-form Lagrange rows -------------------------------------------
-
-def _closed_rows_diag(data: _TermData, beta: BetaDistribution):
-    inv = _cost_inverse(beta)
-    weights = (data.coeffs ** 2) * _term_products(data, inv)
-    num = np.zeros((data.n, 3))
-    for w in (1, 2, 3):
-        num[:, w - 1] = (data.labels == w).T @ weights
-    return num
-
-
-def _closed_rows_full(data: _TermData, ref: SingleReference,
-                      beta: BetaDistribution):
-    inv = _cost_inverse(beta)
-    m = np.array(ref.signs, dtype=float)
-    num = np.zeros((data.n, 3))
-    for idxs in _xy_buckets(data).values():
-        lb = data.labels[idxs]
-        c = data.coeffs[idxs]
-        for a in range(len(idxs)):
-            eq = lb == lb[a][None, :]
-            active = eq & (lb[a][None, :] > 0)
-            binv = inv[np.arange(data.n), np.maximum(lb[a] - 1, 0)]
-            fprod = np.where(active, binv[None, :], 1.0).prod(axis=1)
-            msign = np.where(~eq, m[None, :], 1.0).prod(axis=1)
-            pairweight = c[a] * c * fprod * msign
-            colsum = pairweight @ active          # per-qubit mass
-            pos = lb[a] > 0
-            num[pos, lb[a][pos] - 1] += colsum[pos]
-    return num
-
-
-def _closed_rows_multiref(data: _TermData, ref: MultiReference,
-                          beta: BetaDistribution):
-    # same ratio structure as the single-reference form, with the pair
-    # weight taken from the multi-component factorization; heuristic,
-    # carries no optimality guarantee
-    inv = _cost_inverse(beta)
-    bits = [tuple(int(c) for c in b) for b in ref.bitstrings]
-    num = np.zeros((data.n, 3))
-    finite = _finite_inverse(beta)
-    for a in range(data.count):
-        js, _ = _compatible_row(data, finite, a)
-        for j in js:
-            qa, qb = data.strings[a], data.strings[j]
-            weight = data.coeffs[a] * data.coeffs[j]
-            mult = 1.0 if j == a else 2.0
-            for k, lam_k in enumerate(ref.amplitudes):
-                for l, lam_l in enumerate(ref.amplitudes):
-                    factor = lam_k * np.conj(lam_l)
-                    matched = []
-                    for i in range(data.n):
-                        la, lr = qa.label(i), qb.label(i)
-                        mk = 1 - 2 * bits[k][i]
-                        if bits[k][i] == bits[l][i]:
-                            entry = inv[i, la - 1] if la > 0 else 0.0
-                            factor *= _g_factor(la, lr, entry, mk)
-                            if la == lr and la != I:
-                                matched.append((i, la))
-                        else:
-                            factor *= _h_factor(la, lr, mk)
-                        if factor == 0:
-                            break
-                    if factor == 0:
-                        continue
-                    contrib = mult * weight * factor.real
-                    for i, w in matched:
-                        num[i, w - 1] += contrib
-    return num
+    return _evaluate(data, _cost_moment(data, ref), beta)
 
 
 # -- public single-step updates ------------------------------------------
@@ -319,10 +159,7 @@ def lagrange_update_diag(h: ObservableSum, beta: BetaDistribution,
                          floor: float = 0.0) -> BetaDistribution:
     """One closed-form step for the diagonal cost; untouched qubits keep
     their current row."""
-    data = _TermData(h)
-    num = _closed_rows_diag(data, beta)
-    rows, _, _ = _rows_from_num(num, beta.rows, floor)
-    return BetaDistribution(h.n, rows)
+    return _lagrange_update(h, None, beta, floor)
 
 
 def lagrange_update_full(h: ObservableSum, ref: SingleReference,
@@ -331,9 +168,13 @@ def lagrange_update_full(h: ObservableSum, ref: SingleReference,
     """One closed-form step for the influential-pair cost.  Negative
     numerators (sign-flipped cross terms) are floored before the row is
     renormalized."""
-    data = _TermData(h)
-    num = _closed_rows_full(data, ref, beta)
-    rows, _, _ = _rows_from_num(num, beta.rows, floor)
+    return _lagrange_update(h, ref, beta, floor)
+
+
+def _lagrange_update(h, reference, beta, floor):
+    moment = _cost_moment(_TermData(h), reference)
+    rows, _, _ = _rows_from_num(moment.numerators(reciprocal(beta)),
+                                beta.rows, floor)
     return BetaDistribution(h.n, rows)
 
 
@@ -349,22 +190,15 @@ def optimize(h: ObservableSum, cost_kind: str,
     norm of the beta change.  Non-convergence returns the best iterate
     with converged=False rather than raising.
     """
-    data = _TermData(h)
-    if cost_kind == "diag":
-        closed = lambda b: _closed_rows_diag(data, b)
-        evaluate = lambda b: cost_diag(h, b)
-    elif cost_kind == "full":
-        if not isinstance(reference, SingleReference):
-            raise ValueError("full cost requires a SingleReference")
-        closed = lambda b: _closed_rows_full(data, reference, b)
-        evaluate = lambda b: cost_full(h, reference, b)
-    elif cost_kind == "multiref":
-        if not isinstance(reference, MultiReference):
-            raise ValueError("multiref cost requires a MultiReference")
-        closed = lambda b: _closed_rows_multiref(data, reference, b)
-        evaluate = lambda b: cost_multiref(h, reference, b)
-    else:
+    required = {"diag": None, "full": SingleReference,
+                "multiref": MultiReference}
+    if cost_kind not in required:
         raise ValueError(f"unknown cost kind {cost_kind!r}")
+    kind = required[cost_kind]
+    if kind is not None and not isinstance(reference, kind):
+        raise ValueError(f"{cost_kind} cost requires a {kind.__name__}")
+    data = _TermData(h)
+    moment = _cost_moment(data, None if kind is None else reference)
 
     if config.init == "uniform":
         beta = uniform_beta(h.n)
@@ -378,7 +212,7 @@ def optimize(h: ObservableSum, cost_kind: str,
     iterations = 0
     untouched = ()
     for iterations in range(1, config.max_iterations + 1):
-        num = closed(beta)
+        num = moment.numerators(reciprocal(beta))
         target, den, floored = _rows_from_num(num, beta.rows,
                                               max(config.floor, 0.0))
         floored_total += floored
@@ -399,7 +233,7 @@ def optimize(h: ObservableSum, cost_kind: str,
                     beta.rows)
     beta = BetaDistribution(h.n, rows)
 
-    num = closed(beta)
+    num = moment.numerators(reciprocal(beta))
     target, den, _ = _rows_from_num(num, beta.rows, 0.0)
     supported = den > 0
     if np.any(supported):
@@ -409,7 +243,7 @@ def optimize(h: ObservableSum, cost_kind: str,
 
     return OptimizeResult(
         beta=beta,
-        cost=float(evaluate(beta)),
+        cost=_evaluate(data, moment, beta),
         iterations=iterations,
         converged=converged,
         kkt_residual=kkt,

@@ -12,6 +12,16 @@ shots in chunks of bounded size: it reads each chunk's uniforms at their
 place in that order, draws every shot's outcome qubit by qubit from the
 basis-rotated amplitudes (``sample_outcome_indices``), and evaluates the
 estimates with uint64 mask algebra over the terms.
+
+Exact second moments have one engine.  A ``PairTable`` lists the
+qubit-wise compatible term pairs with their product strings, matched
+positions and weights; the state enters only through the traces
+tr(rho S) of those products, from the state's own oracle
+(``pauli_traces`` of StateVector, SingleReference, MultiReference); a
+``SecondMoment`` then sums weight * f(beta) * trace and its row
+numerators -beta * dC/dbeta.  ``exact_variance``, the three optimizer
+costs and their Lagrange rows, and the grouping variances are short
+functions over it.
 """
 
 from __future__ import annotations
@@ -22,11 +32,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .hamiltonian import ObservableSum
-from .pauli import I, X, Y, Z, LABEL_CHARS, PauliError, PauliString, f_factor
+from .pauli import X, Y, Z, LABEL_CHARS, PauliError, PauliString, f_factor
 from .states import (BASIS_ROTATIONS, MultiReference, SingleReference,
-                     StateVector, born_probabilities,
-                     multireference_density_expectation,
-                     observable_expectation, reference_expectation)
+                     StateVector, born_probabilities)
 
 ZERO_PROBABILITY = 1e-12  # beta entries below this count as exact zeros
 
@@ -195,31 +203,42 @@ class _TermData:
         self.z_masks = np.array([q.z_mask for q in self.strings],
                                 dtype=np.uint64)
         self.supp_masks = self.x_masks | self.z_masks
+        # needed[i, w - 1]: some term carries label w on qubit i
+        self.needed = np.stack([(self.labels == w).any(axis=0)
+                                for w in (X, Y, Z)], axis=1)
+
+
+def divergent_positions(data: _TermData,
+                        beta: BetaDistribution) -> np.ndarray:
+    """(qubit, label - 1) rows where beta vanishes but some term needs it."""
+    return np.argwhere(data.needed & (beta.rows <= ZERO_PROBABILITY))
+
+
+def _check_divergence(data: _TermData, beta: BetaDistribution):
+    bad = divergent_positions(data, beta)
+    if bad.size:
+        raise DivergenceError(int(bad[0, 0]), int(bad[0, 1]) + 1)
 
 
 def check_divergence(h: ObservableSum, beta: BetaDistribution):
     """Raise unless beta is positive wherever a traceless term needs it."""
-    for q in h.terms:
-        for i in q.support():
-            label = q.label(i)
-            if beta.probability(i, label) <= ZERO_PROBABILITY:
-                raise DivergenceError(i, label)
+    _check_divergence(_TermData(h), beta)
 
 
-def _inverse_rows(beta: BetaDistribution) -> np.ndarray:
-    rows = beta.rows
-    out = np.full_like(rows, np.inf)
-    ok = rows > ZERO_PROBABILITY
-    out[ok] = 1.0 / rows[ok]
+def reciprocal(beta: BetaDistribution) -> np.ndarray:
+    """1/beta, with entries at or below ZERO_PROBABILITY mapped to 0."""
+    ok = beta.rows > ZERO_PROBABILITY
+    return np.where(ok, 1.0 / np.where(ok, beta.rows, 1.0), 0.0)
+
+
+def inverse_factors(matched: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """prod_i inv[i, matched[i] - 1] over the qubits with matched[i] > 0,
+    per column of the (n, m) label-code array ``matched``."""
+    ext = np.hstack([np.ones((inv.shape[0], 1)), inv])
+    out = np.ones(matched.shape[1])
+    for i, codes in enumerate(matched):
+        out *= ext[i, codes]
     return out
-
-
-def _term_inverse_factors(data: _TermData, inv: np.ndarray) -> np.ndarray:
-    """f(P, Q, beta) for any basis P that Q agrees with: prod over supp."""
-    gathered = inv[np.arange(data.n)[None, :],
-                   np.maximum(data.labels - 1, 0)]
-    factors = np.where(data.labels > 0, gathered, 1.0)
-    return factors.prod(axis=1)
 
 
 # -- Monte Carlo protocol ------------------------------------------------
@@ -346,10 +365,9 @@ def run_protocol(h: ObservableSum, v: StateVector, beta: BetaDistribution,
     if h.n != v.n or beta.n != h.n:
         raise PauliError("qubit count mismatch")
     data = _TermData(h)
-    invf = _term_inverse_factors(data, _inverse_rows(beta))
-    # terms touching a zero-probability label never agree with any
-    # sampled basis; zero them so the inf placeholder cannot leak
-    weights = data.coeffs * np.where(np.isfinite(invf), invf, 0.0)
+    # a term touching a zero-probability label never agrees with a
+    # sampled basis, and its reciprocal factor is 0
+    weights = data.coeffs * inverse_factors(data.labels.T, reciprocal(beta))
 
     basis_rng = make_rng(seed)
     outcome_rng = _rng_at(seed, shots * h.n)
@@ -369,121 +387,98 @@ def run_protocol(h: ObservableSum, v: StateVector, beta: BetaDistribution,
     return EstimateReport(mean, var, shots, seed)
 
 
-# -- exact single-shot variance ------------------------------------------
+# -- pair table and second moment ---------------------------------------
+
+_PAIR_BLOCK = 1 << 18   # term pairs compared at once
+
+
+def compatible_pairs(data: _TermData):
+    """Index arrays (a, j), a <= j, of the qubit-wise compatible term
+    pairs in row-major order, compared a block of rows at a time."""
+    rows = max(1, _PAIR_BLOCK // max(data.count, 1))
+    empty = np.empty(0, dtype=np.int64)
+    found_a, found_j = [empty], [empty]
+    for start in range(0, data.count, rows):
+        a = np.arange(start, min(start + rows, data.count))
+        clash = data.x_masks[a, None] ^ data.x_masks
+        clash |= data.z_masks[a, None] ^ data.z_masks
+        clash &= data.supp_masks[a, None] & data.supp_masks
+        upper = a[:, None] <= np.arange(data.count)
+        hit_a, hit_j = np.nonzero((clash == 0) & upper)
+        found_a.append(a[hit_a])
+        found_j.append(hit_j)
+    return np.concatenate(found_a), np.concatenate(found_j)
+
+
+class PairTable:
+    """Term pairs (a, j), a <= j, that are qubit-wise compatible.
+
+    The product Q_a Q_j is the string with masks (x, z) = (x_a ^ x_j,
+    z_a ^ z_j) and phase 1.  ``matched[i]`` is the label both terms carry
+    on qubit i, or 0 where they do not share one, so f(Q_a, Q_j, beta) is
+    ``inverse_factors(matched, 1/beta)``.  ``weight`` is
+    mult * alpha_a * alpha_j * scale with mult = 1 on the diagonal and 2
+    off it, so a sum over the table is a sum over ordered pairs.
+    """
+
+    def __init__(self, data: _TermData, a: np.ndarray, j: np.ndarray,
+                 scale=1.0):
+        self.x = data.x_masks[a] ^ data.x_masks[j]
+        self.z = data.z_masks[a] ^ data.z_masks[j]
+        self.weight = (np.where(a == j, 1.0, 2.0) * data.coeffs[a]
+                       * data.coeffs[j] * scale)
+        self.matched = np.empty((data.n, a.size), dtype=np.uint8)
+        for i, labels in enumerate(data.labels.T):
+            self.matched[i] = np.where(labels[a] == labels[j], labels[a], 0)
+
+    @classmethod
+    def compatible(cls, data: _TermData) -> "PairTable":
+        return cls(data, *compatible_pairs(data))
+
+    def moment(self, state) -> "SecondMoment":
+        """The second moment on ``state``; its traces are taken once."""
+        return SecondMoment(self.matched,
+                            self.weight * state.pauli_traces(self.x, self.z))
+
+
+class SecondMoment:
+    """sum_p c_p f_p(beta) over a table, with c_p = weight * tr(rho Q_a Q_j)
+    and f_p the product of 1/beta over the pair's matched positions.
+
+    Both methods take the reciprocal rows ``inv`` = 1/beta.  The row
+    numerators num[i, w - 1] = sum of c_p f_p over the pairs matched on
+    (i, w) equal -beta * dC/dbeta, the ratio the Lagrange update uses.
+    """
+
+    def __init__(self, matched: np.ndarray, coeffs: np.ndarray):
+        self.matched = matched
+        self.coeffs = coeffs
+
+    def value(self, inv: np.ndarray) -> float:
+        return float(self.coeffs @ inverse_factors(self.matched, inv))
+
+    def numerators(self, inv: np.ndarray) -> np.ndarray:
+        mass = self.coeffs * inverse_factors(self.matched, inv)
+        return np.stack([np.bincount(codes, weights=mass, minlength=4)[1:]
+                         for codes in self.matched])
+
 
 def exact_variance(h: ObservableSum, state, beta: BetaDistribution) -> float:
     """Single-shot variance of the biased-shadow estimator on ``state``.
 
-    Implements the second moment sum_{Q,R} f(Q,R,beta) a_Q a_R tr(rho QR)
-    minus the squared mean.  The identity coefficient cancels between the
-    two moments and is dropped from both.  Pairs with f = 0 (any qubit
-    carrying different non-identity labels) are pruned before evaluation.
+    The second moment sum_{Q,R} f(Q,R,beta) a_Q a_R tr(rho QR) over the
+    compatible pairs (f = 0 on the others) minus the squared mean.  The
+    identity coefficient cancels between the two moments and is dropped
+    from both.
     """
     if beta.n != h.n:
         raise PauliError("qubit count mismatch")
-    check_divergence(h, beta)
+    if not isinstance(state, (StateVector, SingleReference, MultiReference)):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
     data = _TermData(h)
+    _check_divergence(data, beta)
     if data.count == 0:
         return 0.0
-    inv = _inverse_rows(beta)
-
-    if isinstance(state, StateVector):
-        second = _second_moment_statevector(data, inv, state)
-        mean0 = observable_expectation(h, state) - h.identity_coefficient
-    elif isinstance(state, SingleReference):
-        second = _second_moment_single_reference(data, inv, state)
-        ident = PauliString.identity(h.n)
-        mean0 = sum(a * reference_expectation(state, q, ident)
-                    for q, a in h.terms.items())
-    elif isinstance(state, MultiReference):
-        second = _second_moment_multi_reference(data, inv, state, h)
-        ident = PauliString.identity(h.n)
-        mean0 = sum(
-            a * multireference_density_expectation(state, q, ident).real
-            for q, a in h.terms.items())
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
+    second = PairTable.compatible(data).moment(state).value(reciprocal(beta))
+    mean0 = data.coeffs @ state.pauli_traces(data.x_masks, data.z_masks)
     return float(second - mean0 ** 2)
-
-
-def _compatible_row(data: _TermData, inv: np.ndarray, a: int):
-    """Indices j >= a with f(Q_a, Q_j) != 0 and the f values."""
-    la = data.labels[a]
-    lj = data.labels[a:]
-    eq = lj == la[None, :]
-    ok = eq | (lj == 0) | (la[None, :] == 0)
-    compat = np.nonzero(ok.all(axis=1))[0]
-    if compat.size == 0:
-        return compat + a, np.empty(0)
-    matched = eq[compat] & (la[None, :] > 0)
-    gathered = inv[np.arange(data.n)[None, :], np.maximum(la - 1, 0)[None, :]]
-    fvals = np.where(matched, gathered, 1.0).prod(axis=1)
-    return compat + a, fvals
-
-
-def _second_moment_statevector(data, inv, v: StateVector) -> float:
-    amps = v.amplitudes
-    dim = amps.shape[0]
-    idx = np.arange(dim, dtype=np.uint64)
-    cache: dict[tuple, float] = {}
-
-    def pauli_exp(xm: int, zm: int) -> float:
-        key = (xm, zm)
-        if key in cache:
-            return cache[key]
-        # phase exponent of the product is 0 for compatible pairs,
-        # and i^{|x&z|} X^x Z^z is the product string itself
-        phase = 1j ** ((xm & zm).bit_count() % 4)
-        src = idx ^ np.uint64(xm)
-        signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(zm)) & 1)
-        val = (phase * np.vdot(amps, signs * amps[src])).real
-        cache[key] = float(val)
-        return cache[key]
-
-    total = 0.0
-    for a in range(data.count):
-        js, fvals = _compatible_row(data, inv, a)
-        for j, f in zip(js, fvals):
-            xm = int(data.x_masks[a] ^ data.x_masks[j])
-            zm = int(data.z_masks[a] ^ data.z_masks[j])
-            contrib = f * data.coeffs[a] * data.coeffs[j] * pauli_exp(xm, zm)
-            total += contrib if j == a else 2.0 * contrib
-    return total
-
-
-def _second_moment_single_reference(data, inv, ref: SingleReference) -> float:
-    m = np.array(ref.signs, dtype=float)
-    total = 0.0
-    for a in range(data.count):
-        js, fvals = _compatible_row(data, inv, a)
-        if js.size == 0:
-            continue
-        la = data.labels[a]
-        lj = data.labels[js]
-        diff = lj != la[None, :]
-        other = np.maximum(lj, la[None, :])  # the non-identity side
-        dead = np.any(diff & ((other == X) | (other == Y)), axis=1)
-        sign = np.where(diff & (other == Z), m[None, :], 1.0).prod(axis=1)
-        tr = np.where(dead, 0.0, sign)
-        contrib = fvals * data.coeffs[a] * data.coeffs[js] * tr
-        weights = np.where(js == a, 1.0, 2.0)
-        total += float((weights * contrib).sum())
-    return total
-
-
-def _second_moment_multi_reference(data, inv, ref: MultiReference,
-                                   h: ObservableSum) -> float:
-    # the k <-> l symmetry makes each density expectation real up to
-    # rounding; anything larger signals a phase bug upstream
-    total = 0.0
-    for a in range(data.count):
-        js, fvals = _compatible_row(data, inv, a)
-        for j, f in zip(js, fvals):
-            tr = multireference_density_expectation(
-                ref, data.strings[a], data.strings[j])
-            if abs(tr.imag) > 1e-9:
-                raise ValueError(
-                    f"density expectation has imaginary residue {tr.imag!r}")
-            contrib = f * data.coeffs[a] * data.coeffs[j] * tr.real
-            total += contrib if j == a else 2.0 * contrib
-    return total

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .hamiltonian import ObservableSum
-from .pauli import I, X, Y, Z, PauliError, PauliString, product
+from .pauli import (I, X, Y, Z, PauliError, PauliString, product,
+                    qubitwise_commute)
 
 _NORM_TOL = 1e-10
 
@@ -54,6 +55,11 @@ class StateVector:
         amps[int(bits, 2)] = 1.0
         return cls(n, amps)
 
+    def pauli_traces(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """<v| S |v> for the strings S = i^{|x & z|} X^x Z^z given by
+        uint64 masks: one Walsh-Hadamard transform per distinct X-mask."""
+        return _statevector_traces(self.amplitudes, x, z)
+
 
 @dataclass(frozen=True)
 class SingleReference:
@@ -73,9 +79,17 @@ class SingleReference:
     def from_bits(cls, bits: str) -> "SingleReference":
         return cls(tuple(1 - 2 * int(b) for b in bits))
 
+    @property
+    def bits(self) -> str:
+        return "".join("0" if m == 1 else "1" for m in self.signs)
+
     def to_statevector(self) -> StateVector:
-        bits = "".join("0" if m == 1 else "1" for m in self.signs)
-        return StateVector.from_bits(bits)
+        return StateVector.from_bits(self.bits)
+
+    def pauli_traces(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """tr(rho S) for the strings S = i^{|x & z|} X^x Z^z given by
+        uint64 masks; a one-component reference."""
+        return _reference_traces([self.bits], [1.0], x, z)
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,13 @@ class MultiReference:
         for bits, lam in zip(self.bitstrings, self.amplitudes):
             amps[int(bits, 2)] = lam
         return StateVector(self.n, amps)
+
+    def pauli_traces(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """tr(rho S) for the strings S = i^{|x & z|} X^x Z^z given by
+        uint64 masks, looking up each component's partner: O(K) per
+        string.  An imaginary part above 1e-9 signals a phase bug and
+        raises ValueError."""
+        return _reference_traces(self.bitstrings, self.amplitudes, x, z)
 
 
 def load_reference(path):
@@ -196,68 +217,81 @@ def observable_expectation(h: ObservableSum, v: StateVector) -> float:
 
 def reference_expectation(ref: SingleReference, q: PauliString,
                           r: PauliString) -> float:
-    """tr(rho_HF Q R) in closed form, valid on qubit-wise agreeing pairs.
-
-    Per qubit: 1 if the labels are equal (including I/I), m_i if they
-    are {I, Z}, 0 otherwise.
-    """
-    if q.n != ref.n or r.n != ref.n:
-        raise PauliError("qubit count mismatch with reference state")
-    out = 1.0
-    for i, m in enumerate(ref.signs):
-        a, b = q.label(i), r.label(i)
-        if a == b:
-            continue
-        if {a, b} == {I, Z}:
-            out *= m
-        else:
-            return 0.0
-    return out
-
-
-def _g_factor_free(a: int, b: int, m: int):
-    # beta-free part of the matched-bit per-qubit factor.
-    if a == b:
-        return 1.0
-    if {a, b} == {I, Z}:
-        return float(m)
-    return 0.0
-
-
-def _h_factor(a: int, b: int, m: int):
-    # per-qubit factor when the two component bits disagree.
-    if {a, b} == {I, X} and a != b:
-        return 1.0
-    if {a, b} == {I, Y} and a != b:
-        return m * 1j
-    return 0.0
+    """tr(rho_HF Q R), valid on qubit-wise agreeing pairs (0 on others)."""
+    return _agreeing_pair_trace(ref, q, r).real
 
 
 def multireference_density_expectation(ref: MultiReference, q: PauliString,
                                        r: PauliString) -> complex:
-    """sum_{k,l} lambda_k conj(lambda_l) tr(rho^(k,l) Q R).
+    """<psi| Q R |psi>, valid on qubit-wise agreeing pairs (0 on others)."""
+    return _agreeing_pair_trace(ref, q, r)
 
-    Uses the per-qubit case analysis valid for qubit-wise agreeing
-    (Q, R) pairs, the only ones reachable through the f-weighting.
-    """
+
+def _agreeing_pair_trace(ref, q: PauliString, r: PauliString) -> complex:
+    # an agreeing pair multiplies to the string of the XOR-ed masks,
+    # with phase 1
     if q.n != ref.n or r.n != ref.n:
         raise PauliError("qubit count mismatch with reference state")
-    total = 0.0 + 0.0j
-    bits = [tuple(int(c) for c in b) for b in ref.bitstrings]
-    for k, lam_k in enumerate(ref.amplitudes):
-        for l, lam_l in enumerate(ref.amplitudes):
-            factor = lam_k * np.conj(lam_l)
-            for i in range(ref.n):
-                a, b = q.label(i), r.label(i)
-                mk = 1 - 2 * bits[k][i]
-                if bits[k][i] == bits[l][i]:
-                    factor *= _g_factor_free(a, b, mk)
-                else:
-                    factor *= _h_factor(a, b, mk)
-                if factor == 0:
-                    break
-            total += factor
-    return complex(total)
+    if not qubitwise_commute(q, r):
+        return 0j
+    x = np.array([q.x_mask ^ r.x_mask], dtype=np.uint64)
+    z = np.array([q.z_mask ^ r.z_mask], dtype=np.uint64)
+    return complex(ref.pauli_traces(x, z)[0])
+
+
+# -- trace oracles of the state kinds ------------------------------------
+
+_PHASES = np.array([1, 1j, -1, -1j])
+_TRANSFORM_BLOCK = 1 << 16   # amplitudes per batch of transforms
+
+
+def _statevector_traces(amps: np.ndarray, x: np.ndarray,
+                        z: np.ndarray) -> np.ndarray:
+    # With g[j] = conj(v[j ^ x]) v[j], <v| X^x Z^z |v> is the transform
+    # sum_j g[j] (-1)^{z.j} of g evaluated at z.
+    dim = amps.shape[0]
+    xs, which = np.unique(x, return_inverse=True)
+    order = np.argsort(which, kind="stable")
+    bounds = np.searchsorted(which[order], np.arange(xs.size + 1))
+    idx = np.arange(dim, dtype=np.uint64)
+    out = np.empty(x.shape[0])
+    batch = max(1, _TRANSFORM_BLOCK // dim)
+    for start in range(0, xs.size, batch):
+        stop = min(start + batch, xs.size)
+        g = amps[idx[None, :] ^ xs[start:stop, None]].conj() * amps
+        half = 1
+        while half < dim:
+            pairs = g.reshape(stop - start, -1, 2, half)
+            lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+            diff = lo - hi
+            lo += hi
+            hi[...] = diff
+            half *= 2
+        sel = order[bounds[start]:bounds[stop]]
+        phase = _PHASES[np.bitwise_count(x[sel] & z[sel]) & 3]
+        out[sel] = (phase * g[which[sel] - start, z[sel]]).real
+    return out
+
+
+def _reference_traces(bitstrings, amplitudes, x: np.ndarray,
+                      z: np.ndarray) -> np.ndarray:
+    # S |b_k> = i^{|x&z|} (-1)^{z.b_k} |b_k ^ x>, so component k pairs
+    # with the component l whose bits are b_k ^ x, if there is one
+    bits = np.array([int(b, 2) for b in bitstrings], dtype=np.uint64)
+    lam = np.asarray(amplitudes, dtype=complex)
+    order = np.argsort(bits)
+    target = bits[None, :] ^ x[:, None]
+    pos = np.minimum(np.searchsorted(bits[order], target), bits.size - 1)
+    partner = order[pos]
+    signs = 1.0 - 2.0 * (np.bitwise_count(z[:, None] & bits) & 1)
+    terms = np.where(bits[partner] == target,
+                     lam[partner].conj() * lam * signs, 0.0)
+    vals = _PHASES[np.bitwise_count(x & z) & 3] * terms.sum(axis=1)
+    residue = np.abs(vals.imag)
+    if np.any(residue > 1e-9):
+        raise ValueError(
+            f"density expectation has imaginary residue {residue.max()!r}")
+    return vals.real
 
 
 # -- ground states -------------------------------------------------------

@@ -6,7 +6,8 @@ from lbcs import (BetaDistribution, MultiReference, PauliString,
                   influential_pairs, cost_diag, cost_full, cost_multiref,
                   lagrange_update_diag, lagrange_update_full, optimize,
                   exact_variance, OptimizerConfig)
-from lbcs.optimizer import DivergenceWarning
+from lbcs.optimizer import DivergenceWarning, _cost_moment
+from lbcs.shadows import _TermData
 from lbcs.states import observable_expectation
 
 import oracles
@@ -14,6 +15,22 @@ import oracles
 
 def P(text):
     return PauliString.from_text(text)
+
+
+def random_multireference(rng, n):
+    k = int(rng.integers(1, min(3, 1 << n) + 1))
+    idxs = rng.choice(1 << n, size=k, replace=False)
+    amps = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return MultiReference(tuple(format(int(b), f"0{n}b") for b in idxs),
+                          tuple(amps / np.linalg.norm(amps)))
+
+
+def traceless_second_moment(h, v, beta):
+    """E[(nu - c0)^2] of the biased-shadow estimator on amplitudes v, by
+    enumeration; independent of the pair-table engine."""
+    e1, e2 = oracles.shadow_moments(h, v, beta.rows)
+    c0 = h.identity_coefficient
+    return e2 - 2.0 * c0 * e1 + c0 ** 2
 
 
 H34 = parse_observable("3.0 X\n4.0 Z\n")
@@ -82,6 +99,27 @@ class TestCosts:
             var = exact_variance(h, ref, beta)
             assert cost_full(h, ref, beta) == \
                 pytest.approx(var + mean0 ** 2, abs=1e-9)
+
+    def test_cost_full_equals_enumerated_second_moment(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            h = oracles.random_hamiltonian(rng, n, max_terms=5)
+            beta = oracles.random_beta(rng, n)
+            ref = SingleReference(oracles.random_signs(rng, n))
+            want = traceless_second_moment(
+                h, ref.to_statevector().amplitudes, beta)
+            assert cost_full(h, ref, beta) == pytest.approx(want, abs=1e-9)
+
+    def test_cost_multiref_equals_enumerated_second_moment(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            h = oracles.random_hamiltonian(rng, n, max_terms=5)
+            beta = oracles.random_beta(rng, n)
+            ref = random_multireference(rng, n)
+            want = traceless_second_moment(
+                h, ref.to_statevector().amplitudes, beta)
+            assert cost_multiref(h, ref, beta) == \
+                pytest.approx(want, abs=1e-9)
 
     def test_cost_multiref_bell(self):
         h = parse_observable("1.0 XX\n")
@@ -164,6 +202,34 @@ class TestLagrangeUpdates:
         out = lagrange_update_full(HZZ, ref, uniform_beta(2))
         assert np.allclose(out.rows[0], [0.0, 0.0, 1.0])
         assert np.allclose(out.rows[1], [0.0, 0.0, 1.0])
+
+
+class TestRowIdentity:
+    """The closed-form row numerators are -beta * dC/dbeta."""
+
+    @pytest.mark.parametrize("kind", ["diag", "full", "multiref"])
+    def test_numerators_match_central_differences(self, rng, kind):
+        for _ in range(15):
+            n = int(rng.integers(1, 5))
+            h = oracles.random_hamiltonian(rng, n, max_terms=6)
+            reference = {"diag": None,
+                         "full": SingleReference(oracles.random_signs(rng, n)),
+                         "multiref": random_multireference(rng, n)}[kind]
+            moment = _cost_moment(_TermData(h), reference)
+            beta = oracles.random_beta(rng, n).rows
+            cost = moment.value(1.0 / beta)
+            got = moment.numerators(1.0 / beta)
+            want = np.zeros((n, 3))
+            for i in range(n):
+                for w in range(3):
+                    step = np.zeros((n, 3))
+                    step[i, w] = 1e-4 * beta[i, w]
+                    slope = (moment.value(1.0 / (beta + step))
+                             - moment.value(1.0 / (beta - step))) \
+                        / (2.0 * step[i, w])
+                    want[i, w] = -beta[i, w] * slope
+            np.testing.assert_allclose(got, want, rtol=1e-6,
+                                       atol=1e-9 * abs(cost))
 
 
 class TestOptimize:

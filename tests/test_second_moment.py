@@ -1,6 +1,6 @@
-"""Golden pins of every second-moment quantity.
+"""The pair-table second-moment engine and golden pins of its results.
 
-Recorded from the per-qubit case analyses that the pair-table engine
+The pins were recorded from the per-qubit case analyses that the engine
 replaced: exact_variance on the three state kinds, the three optimizer
 costs (also at a beta with exact zeros), both grouping variance closed
 forms and optimize for every cost kind.  Relative tolerance 1e-12.
@@ -15,7 +15,9 @@ from lbcs import (BetaDistribution, MultiReference, OptimizerConfig,
                   SingleReference, build_grouping, cost_diag, cost_full,
                   cost_multiref, exact_variance, grouping_exact_variance_both,
                   optimize)
+from lbcs import shadows, states
 from lbcs.optimizer import DivergenceWarning
+from lbcs.shadows import _TermData, compatible_pairs
 
 import oracles
 
@@ -283,3 +285,54 @@ def test_golden_optimize(n, kind):
     close(res.cost, cost)
     assert (res.iterations, res.converged) == (iterations, converged)
     assert np.allclose(res.beta.rows, rows, rtol=1e-12, atol=1e-12)
+
+
+def random_strings(rng, n, count):
+    """Random (x, z) masks and the text of i^{|x & z|} X^x Z^z."""
+    labels = rng.integers(0, 4, size=(count, n))
+    place = 1 << np.arange(n - 1, -1, -1)
+    x = ((labels == 1) | (labels == 2)) @ place
+    z = ((labels == 2) | (labels == 3)) @ place
+    texts = ["".join("IXYZ"[c] for c in row) for row in labels]
+    return x.astype(np.uint64), z.astype(np.uint64), texts
+
+
+@pytest.mark.parametrize("kind", ["statevector", "single", "multi"])
+def test_trace_oracles_match_dense(rng, monkeypatch, kind):
+    # a small batch makes the transforms run in several batches
+    monkeypatch.setattr(states, "_TRANSFORM_BLOCK", 16)
+    for _ in range(10):
+        n = int(rng.integers(1, 6))
+        if kind == "statevector":
+            state = oracles.random_state(rng, n)
+            v = state.amplitudes
+        elif kind == "single":
+            state = SingleReference(oracles.random_signs(rng, n))
+            v = state.to_statevector().amplitudes
+        else:
+            k = int(rng.integers(1, min(4, 1 << n) + 1))
+            idxs = rng.choice(1 << n, size=k, replace=False)
+            amps = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            state = MultiReference(
+                tuple(format(int(b), f"0{n}b") for b in idxs),
+                tuple(amps / np.linalg.norm(amps)))
+            v = state.to_statevector().amplitudes
+        x, z, texts = random_strings(rng, n, 40)
+        want = [np.vdot(v, oracles.dense_from_text(t) @ v).real
+                for t in texts]
+        np.testing.assert_allclose(state.pauli_traces(x, z), want,
+                                   rtol=0, atol=1e-12)
+
+
+def test_compatible_pairs_in_blocks(rng, monkeypatch):
+    monkeypatch.setattr(shadows, "_PAIR_BLOCK", 7)
+    for _ in range(10):
+        n = int(rng.integers(1, 6))
+        h = oracles.random_hamiltonian(rng, n, max_terms=12)
+        data = _TermData(h)
+        texts = [q.to_text() for q in data.strings]
+        want = [(a, j) for a in range(data.count)
+                for j in range(a, data.count)
+                if oracles.strings_qubitwise_commute(texts[a], texts[j])]
+        got = list(zip(*(p.tolist() for p in compatible_pairs(data))))
+        assert got == want
