@@ -471,10 +471,10 @@ def exact_variance(h: ObservableSum, state, beta: BetaDistribution) -> float:
     identity coefficient cancels between the two moments and is dropped
     from both.
     """
-    if beta.n != h.n:
-        raise PauliError("qubit count mismatch")
     if not isinstance(state, (StateVector, SingleReference, MultiReference)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
+    if beta.n != h.n or state.n != h.n:
+        raise PauliError("qubit count mismatch")
     data = _TermData(h)
     _check_divergence(data, beta)
     if data.count == 0:

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from lbcs import (BetaDistribution, MultiReference, OptimizerConfig,
-                  SingleReference, build_grouping, cost_diag, cost_full,
-                  cost_multiref, exact_variance, grouping_exact_variance_both,
-                  optimize)
+                  SingleReference, StateVector, build_grouping, cost_diag,
+                  cost_full, cost_multiref, exact_variance,
+                  grouping_exact_variance_both, optimize, parse_observable,
+                  uniform_beta)
+from lbcs.pauli import PauliError
 from lbcs import shadows, states
 from lbcs.optimizer import DivergenceWarning
 from lbcs.shadows import _TermData, compatible_pairs
@@ -336,3 +338,11 @@ def test_compatible_pairs_in_blocks(rng, monkeypatch):
                 if oracles.strings_qubitwise_commute(texts[a], texts[j])]
         got = list(zip(*(p.tolist() for p in compatible_pairs(data))))
         assert got == want
+
+
+def test_exact_variance_rejects_state_of_other_size():
+    h = parse_observable("1.0 ZZ\n0.5 XI\n")
+    for state in (StateVector.from_bits("0"), SingleReference((1,)),
+                  MultiReference(("000", "111"), (0.6, 0.8))):
+        with pytest.raises(PauliError, match="qubit count"):
+            exact_variance(h, state, uniform_beta(2))
