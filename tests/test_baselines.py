@@ -185,3 +185,177 @@ class TestGroupingEstimator:
         report = grouping_protocol(h, scheme, ZERO, 100_000, seed=8)
         assert abs(report.mean - 1.0) < 5 * np.sqrt(exact / 100_000)
         assert report.variance == pytest.approx(exact, rel=0.05)
+
+
+# -- golden pins of the LDF grouping ---------------------------------------
+
+# Recorded from the label-by-label term graph and its set-based coloring.
+# One Philox(key=3) stream draws the n = 4, 6 and 8 Hamiltonians with up to
+# 10 n terms.  Their term graphs are nearly complete, so many vertices tie
+# in degree and the Pauli-order tie-break decides the coloring order.
+# Each group is "basis: members"; kappa is pinned at rel 1e-12.
+GROUPING_PINS = {
+    4: {
+        "edges": 528,
+        "max_degree": 34,
+        "groups": [
+            "YYXY: YYXY",
+            "YZXZ: YZXI",
+            "XZYZ: XIIZ XZYZ",
+            "YYZX: IIZX YYZX",
+            "ZYZY: ZYII ZYZY",
+            "ZYZZ: ZYZZ",
+            "ZZYX: ZZYI ZZYX",
+            "XXZY: IXII XXII XXIY",
+            "XYYZ: IYYZ XYYZ",
+            "XZZY: IZZI XZZI XZZY",
+            "YZYZ: YIYI",
+            "YXZZ: YXZI",
+            "ZXXY: ZXIY ZXXI",
+            "ZYXZ: IYXZ ZYXZ",
+            "ZYYY: ZIYY ZYYY",
+            "XXXX: XXIX XXXX",
+            "XXYX: XXYX",
+            "XZZX: XZIX",
+            "ZXYY: ZXYY",
+            "XXXZ: XXIZ XXXZ",
+            "XXZZ: XXZZ",
+        ],
+        "kappa": [
+            0.0245678155769247, 0.020657174046190583, 0.06709726238655579,
+            0.07162577008809058, 0.046507658001694416, 0.019134320841865376,
+            0.06276084227570657, 0.09189420246050407, 0.02676346384952931,
+            0.09174795747202566, 0.06367767205200059, 0.042761504473606216,
+            0.05325598900742545, 0.0072162141767007845, 0.02274906000748119,
+            0.042109866991632, 0.06352180253509966, 0.01574266468908718,
+            0.03704585274209704, 0.06821436944454437, 0.060948536881238476,
+        ],
+    },
+    6: {
+        "edges": 648,
+        "max_degree": 36,
+        "groups": [
+            "ZZZXZZ: IIZXZZ",
+            "XZZXZX: XIIXZX",
+            "XZZYZY: XIZYZY",
+            "XXYXXY: XXYXXY",
+            "XXZZZX: XXZZIX",
+            "XYXXXZ: XYXXXZ",
+            "XZXYXZ: XZXYXI",
+            "YXZZZY: YXIZIY",
+            "YXXYYX: YXXYYX",
+            "YXYXXZ: YXYXXZ",
+            "YXYXYY: YXYXYY",
+            "YZZXYY: YZIXYY",
+            "YZYXXX: YZYXXX",
+            "YZZYYZ: YZZYYI",
+            "ZXZZZY: ZXIZZY",
+            "ZXYYXZ: ZXYYXZ",
+            "ZYXYXY: ZYXYXY",
+            "ZYZXXY: ZYZXXY",
+            "ZZZZXZ: ZZZZXZ",
+            "XYZZXX: IYIZXI XYIIXX",
+            "YZXZXZ: YIXIXZ",
+            "YYZZXY: YYIZXY",
+            "YYZXYX: YYIXYX YYZIYX",
+            "YZXYYZ: YIXIYZ YZXYYI",
+            "ZZZZYZ: ZZIZYI ZZZZYI",
+            "ZYZXYZ: IYIIYZ ZIIXYI",
+            "ZXZZXZ: ZXIZXZ ZXZIXI ZXZIXZ",
+            "ZZXZZY: ZZXIIY ZZXZIY",
+            "ZZYZYX: IIYIYX",
+        ],
+        "kappa": [
+            0.005716261632814066, 0.011406905089659618, 0.005591981239228171,
+            0.038799970049521224, 0.04634618223676567, 0.04897478010153296,
+            0.04941143662402787, 0.03366468495270757, 0.04022505136325202,
+            0.03266715470152478, 0.007101003945879102, 0.01789311304855663,
+            0.036905009056858895, 0.006713911902181558, 0.046980434297217356,
+            0.023161991989658785, 0.02142008173590375, 0.01636099172737306,
+            0.03095756304217322, 0.050920702263149, 0.018862616896118296,
+            0.029328043088401173, 0.05206520194487942, 0.036725002676234006,
+            0.03850593034407448, 0.04904287842913214, 0.08344307468140433,
+            0.07126697598674105, 0.049541064953029804,
+        ],
+    },
+    8: {
+        "edges": 345,
+        "max_degree": 26,
+        "groups": [
+            "ZXZXZZYY: IXZXZIYY",
+            "ZYZXZZZY: IYZXZIIY",
+            "ZZXXXZZY: IZXXXIZY",
+            "XXXYZZXZ: XXXYZZXZ",
+            "XYZZYYYX: XYZZYYYX",
+            "XZXXZXXY: XZXXIXXY",
+            "XZZXZXZX: XZZXZXZX",
+            "YZZXXZYZ: YIIXXIYZ",
+            "YZYYZZYX: YIYYZZYX",
+            "YXYYZYZZ: YXYYIYIZ",
+            "YXZZYXXZ: YXZIYXXZ",
+            "YYZZXZYY: YYIIXZYY",
+            "YZZZZXYX: YZIZZXYX",
+            "YZYXYZYZ: YZYXYZYI",
+            "ZZZXYYZZ: ZIIXYYZZ",
+            "ZXZXXZXY: ZXZXXIXY",
+            "ZYXYYYYZ: ZYXYYYYI",
+            "XXZYXZXZ: IXZYIZXZ XIIYXIIZ",
+            "YZYZXYYX: IZYIXIYX YZYIIYYX",
+            "XZZYXXZZ: XIZYXXZI",
+            "YZXZZZZZ: YZIZZZIZ YZXZIIZZ",
+            "ZXXYXXZZ: ZIXYXIII ZXXYIXIZ",
+            "ZZXZZZXZ: ZZXIIIXZ",
+        ],
+        "kappa": [
+            0.05527854795167065, 0.06101987266475561, 0.01548660507229394,
+            0.06590219869458509, 0.004558727322355272, 0.025961160221191538,
+            0.04467009471133329, 0.042556640815016526, 0.015608631298246287,
+            0.009044078004369268, 0.028067301519639536, 0.05316487582744446,
+            0.01388197261817353, 0.049829217975881454, 0.05063836766798853,
+            0.03420168144028237, 0.05504372465770055, 0.08174926730795264,
+            0.09929159938569132, 0.013598832949804506, 0.08250690285238453,
+            0.05781058322969673, 0.04012911581154251,
+        ],
+    },
+}
+
+
+def grouping_instances():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    return {n: oracles.random_hamiltonian(rng, n, max_terms=10 * n)
+            for n in sorted(GROUPING_PINS)}
+
+
+def oracle_clash(h):
+    """clash[a][j]: terms a and j (in term-graph order) are not qubit-wise
+    commuting, by the character-level oracle."""
+    texts = [q.to_text() for q in build_term_graph(h).vertices]
+    return [[not oracles.strings_qubitwise_commute(s, t) for t in texts]
+            for s in texts]
+
+
+@pytest.mark.parametrize("n", sorted(GROUPING_PINS))
+def test_golden_grouping(n):
+    h = grouping_instances()[n]
+    pin = GROUPING_PINS[n]
+    graph = build_term_graph(h)
+    assert graph.edge_count() == pin["edges"]
+    assert graph.max_degree() == pin["max_degree"]
+    got = build_grouping(h).to_dict()
+    assert [f"{b}: {' '.join(c)}" for b, c in
+            zip(got["bases"], got["collections"])] == pin["groups"]
+    assert got["kappa"] == pytest.approx(pin["kappa"], rel=1e-12, abs=0)
+    degrees = [sum(row) for row in oracle_clash(h)]
+    assert len(set(degrees)) < len(degrees)   # the tie-break is exercised
+
+
+def test_clash_relation_matches_oracle(rng):
+    cases = list(grouping_instances().values())
+    cases += [oracles.random_hamiltonian(rng, int(rng.integers(1, 7)),
+                                         max_terms=12) for _ in range(40)]
+    for h in cases:
+        graph = build_term_graph(h)
+        want = oracle_clash(h)
+        got = [[j in graph.adjacency[a] for j in range(len(want))]
+               for a in range(len(want))]
+        assert got == want
