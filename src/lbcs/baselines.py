@@ -1,9 +1,11 @@
 """Baseline estimators: l1 term sampling and LDF commuting-group sampling.
 
 Both draw a measurement basis per shot, read out single qubits, and
-rescale by the inverse sampling weight.  Grouping uses a greedy
-largest-degree-first coloring of the anticommutation graph; colors become
-qubit-wise-commuting collections measured in one shared basis each.
+rescale by the inverse sampling weight.  Grouping colors the term graph
+greedily, largest degree first.  Its edges join the pairs that are not
+qubit-wise commuting (XX and YY commute but clash), by the same mask test
+as ``shadows.compatible_pairs``; colors become qubit-wise-commuting
+collections measured in one shared basis each.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 from .hamiltonian import ObservableSum, l1_norm, gamma_distribution
 from .pauli import I, Z, PauliError, PauliString, agrees_with_basis
 from .shadows import (EstimateReport, PairTable, _TermData, _parity,
-                      compatible_pairs, make_rng, sample_outcomes)
+                      clash_blocks, compatible_pairs, make_rng,
+                      sample_outcomes)
 from .states import (StateVector, born_probabilities, expectation,
                      observable_expectation)
 
@@ -25,57 +28,50 @@ class GroupingError(ValueError):
     pass
 
 
+class SchemeError(ValueError):
+    """A malformed grouping scheme, or one that does not partition H."""
+
+
 @dataclass(frozen=True)
 class TermGraph:
-    """Vertices are traceless terms; edges join non-qubit-wise-commuting pairs."""
+    """Vertices are the traceless terms in term-table order, with their
+    (V, n) label codes; clash[a, j] is True where terms a and j are not
+    qubit-wise commuting."""
 
     vertices: tuple           # of PauliString
-    adjacency: tuple          # of frozenset of vertex indices
+    labels: np.ndarray
+    clash: np.ndarray
 
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
+    def degrees(self) -> np.ndarray:
+        return self.clash.sum(axis=1)
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        return int(self.degrees().max(initial=0))
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return int(self.degrees().sum()) // 2
 
 
 def build_term_graph(h: ObservableSum) -> TermGraph:
     data = _TermData(h)
-    verts = tuple(data.strings)
-    adj = [set() for _ in range(data.count)]
-    for a in range(data.count):
-        la = data.labels[a]
-        lj = data.labels[a + 1:]
-        eq = lj == la[None, :]
-        ok = eq | (lj == 0) | (la[None, :] == 0)
-        clash = np.nonzero(~ok.all(axis=1))[0] + a + 1
-        for j in clash:
-            adj[a].add(int(j))
-            adj[int(j)].add(a)
-    return TermGraph(verts, tuple(frozenset(s) for s in adj))
+    clash = np.empty((data.count, data.count), dtype=bool)
+    for a, block in clash_blocks(data):
+        clash[a] = block
+    return TermGraph(tuple(data.strings), data.labels, clash)
 
 
 def ldf_coloring(graph: TermGraph) -> list:
     """Greedy coloring in decreasing-degree order; ties broken by the
     Pauli total order.  Guarantees at most 1 + max degree colors."""
-    order = sorted(range(len(graph.vertices)),
-                   key=lambda i: (-graph.degree(i), graph.vertices[i]))
-    color = [-1] * len(graph.vertices)
-    for i in order:
-        used = {color[j] for j in graph.adjacency[i] if color[j] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        color[i] = c
-    k = max(color, default=-1) + 1
-    collections = [[] for _ in range(k)]
-    for i, c in enumerate(color):
-        collections[c].append(graph.vertices[i])
-    for coll in collections:
-        coll.sort()
+    count = len(graph.vertices)
+    color = np.full(count, -1)
+    for i in np.lexsort((*graph.labels.T[::-1], -graph.degrees())):
+        # bin 0 counts the uncolored neighbors; a free color always exists
+        used = np.bincount(color[graph.clash[i]] + 1, minlength=count + 2)
+        color[i] = np.argmin(used[1:])
+    collections = [[] for _ in range(color.max(initial=-1) + 1)]
+    for i in np.lexsort(graph.labels.T[::-1]):    # members in Pauli order
+        collections[color[i]].append(graph.vertices[i])
     return collections
 
 
@@ -145,13 +141,18 @@ class GroupingScheme:
 
     @classmethod
     def from_dict(cls, data) -> "GroupingScheme":
-        collections = tuple(
-            tuple(PauliString.from_text(t) for t in coll)
-            for coll in data["collections"])
-        bases = tuple(PauliString.from_text(t) for t in data["bases"])
-        n = bases[0].n
-        return cls(n, collections, bases,
-                   np.asarray(data["kappa"], dtype=float))
+        try:
+            collections = tuple(
+                tuple(PauliString.from_text(t) for t in coll)
+                for coll in data["collections"])
+            bases = tuple(PauliString.from_text(t) for t in data["bases"])
+            kappa = np.asarray(data["kappa"], dtype=float)
+        except KeyError as exc:
+            raise SchemeError(f"scheme has no {exc} key") from None
+        if not (bases and kappa.shape == (len(bases),) == (len(collections),)):
+            raise SchemeError("scheme needs at least one collection, with "
+                              "one basis and one kappa each")
+        return cls(bases[0].n, collections, bases, kappa)
 
     @classmethod
     def load(cls, path) -> "GroupingScheme":
@@ -213,14 +214,37 @@ def l1_protocol(h: ObservableSum, v: StateVector, shots: int,
 
 # -- grouping estimator ---------------------------------------------------
 
+def _scheme_rows(data: _TermData, scheme: GroupingScheme) -> list:
+    """Term-table rows of each collection's strings, in order; raises
+    SchemeError unless the scheme lists every term of H exactly once."""
+    if scheme.n != data.n:
+        raise SchemeError(f"scheme basis {scheme.bases[0]} has {scheme.n} "
+                          f"qubits, the Hamiltonian {data.n}")
+    index = {q: t for t, q in enumerate(data.strings)}
+    try:
+        rows = [np.array([index[q] for q in coll], dtype=np.int64)
+                for coll in scheme.collections]
+    except KeyError as exc:
+        raise SchemeError(f"scheme string {exc.args[0]} is not a "
+                          f"Hamiltonian term") from None
+    times = np.bincount(np.concatenate(rows), minlength=data.count)
+    if np.any(times != 1):
+        t = np.argmax(times != 1)
+        raise SchemeError(f"scheme lists term {data.strings[t]} "
+                          f"{times[t]} times, not once")
+    return rows
+
+
 def grouping_protocol(h: ObservableSum, scheme: GroupingScheme,
                       v: StateVector, shots: int, seed: int) -> EstimateReport:
     """Per shot: pick a collection from kappa, measure all qubits in its
     representative basis, average the inverse-kappa-weighted group sum."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if h.n != v.n or scheme.n != h.n:
+    if h.n != v.n:
         raise PauliError("qubit count mismatch")
+    data = _TermData(h)
+    rows = _scheme_rows(data, scheme)
     for k, coll in enumerate(scheme.collections):
         if coll and scheme.kappa[k] <= 0:
             raise GroupingError(
@@ -233,14 +257,14 @@ def grouping_protocol(h: ObservableSum, scheme: GroupingScheme,
 
     for k in np.unique(which):
         sel = np.nonzero(which == k)[0]
-        coll = scheme.collections[k]
-        if not coll:
+        terms = rows[k]
+        if not terms.size:
             estimates[sel] = h.identity_coefficient
             continue
         probs = born_probabilities(v, scheme.bases[k])
         outcomes = sample_outcomes(probs, u[sel]).astype(np.uint64)
-        weights = np.array([h.terms[q] for q in coll]) / scheme.kappa[k]
-        masks = np.array([q.support_mask for q in coll], dtype=np.uint64)
+        weights = data.coeffs[terms] / scheme.kappa[k]
+        masks = data.supp_masks[terms]
         signs = 1.0 - 2.0 * _parity(outcomes[:, None] & masks[None, :])
         estimates[sel] = h.identity_coefficient + signs @ weights
 
@@ -267,22 +291,19 @@ def grouping_exact_variance_both(h: ObservableSum, scheme: GroupingScheme,
     which is zero only when every A_k/kappa_k equals tr(rho H_0).
     """
     data = _TermData(h)
-    index = {q: t for t, q in enumerate(data.strings)}
-    group = np.full(data.count, -1)
-    for k, coll in enumerate(scheme.collections):
-        group[[index[q] for q in coll]] = k
+    group = np.empty(data.count, dtype=np.int64)
+    for k, rows in enumerate(_scheme_rows(data, scheme)):
+        group[rows] = k
     # members of one collection agree qubit-wise, so its pairs are in
     # the pair table
     a, j = compatible_pairs(data)
-    same = (group[a] == group[j]) & (group[a] >= 0)
+    same = group[a] == group[j]
     a, j = a[same], j[same]
     table = PairTable(data, a, j, scale=1.0 / scheme.kappa[group[a]])
     pair_sum = float(table.weight @ v.pauli_traces(table.x, table.z))
     singles = data.coeffs * v.pauli_traces(data.x_masks, data.z_masks)
-    member = group >= 0
-    means = np.bincount(group[member], weights=singles[member],
-                        minlength=scheme.k_groups)
-    used = np.bincount(group[member], minlength=scheme.k_groups) > 0
+    means = np.bincount(group, weights=singles, minlength=scheme.k_groups)
+    used = np.bincount(group, minlength=scheme.k_groups) > 0
     mean0 = singles.sum()
     first = pair_sum - mean0 ** 2
     second = pair_sum - float(means[used] ** 2 @ (1.0 / scheme.kappa[used]))

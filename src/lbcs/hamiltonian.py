@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from .pauli import PauliString
 
+MAX_QUBITS = 64  # the term tables pack x and z masks into uint64
+
 
 class HamiltonianFormatError(ValueError):
     """Malformed Hamiltonian text; carries the offending line number."""
@@ -86,6 +88,9 @@ def parse_observable(text: str, qubits: int | None = None) -> ObservableSum:
                 f"non-finite coefficient {coeff_text!r}", lineno)
         if n is None:
             n = len(pauli_text)
+        if n > MAX_QUBITS:
+            raise HamiltonianFormatError(
+                f"{n} qubits exceed the limit of {MAX_QUBITS}", lineno)
         if len(pauli_text) > n or (qubits is None and len(pauli_text) != n):
             raise HamiltonianFormatError(
                 f"string {pauli_text!r} has length {len(pauli_text)}, "

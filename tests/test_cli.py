@@ -204,3 +204,79 @@ class TestCompare:
     def test_reference_and_bits_are_exclusive(self, capsys, ham_xz):
         with pytest.raises(SystemExit):
             main(["compare", "--hamiltonian", ham_xz])
+
+
+# -- error paths ------------------------------------------------------------
+
+H3 = "1.0 XX\n0.5 ZZ\n0.3 ZI\n"     # E0 = -1.5440
+H70 = "1.0 " + "Z" * 70 + "\n"       # more qubits than a uint64 mask holds
+
+# name -> (scheme JSON, a fragment the error line must contain)
+BAD_SCHEMES = {
+    "only-XX": ({"collections": [["XX"]], "bases": ["XX"], "kappa": [1.0]},
+                "term ZZ 0 times"),
+    "XX-twice": ({"collections": [["XX"], ["XX"], ["ZZ", "ZI"]],
+                  "bases": ["XX", "XX", "ZZ"], "kappa": [0.25, 0.25, 0.5]},
+                 "term XX 2 times"),
+    "XY": ({"collections": [["XY"], ["XX"], ["ZZ", "ZI"]],
+            "bases": ["XY", "XX", "ZZ"], "kappa": [0.2, 0.3, 0.5]},
+           "XY is not"),
+    "3-qubits": ({"collections": [["XXI"], ["ZZI", "ZII"]],
+                  "bases": ["XXZ", "ZZZ"], "kappa": [0.5, 0.5]},
+                 "3 qubits"),
+    "empty": ({"collections": [], "bases": [], "kappa": []},
+              "at least one collection"),
+    "no-kappa": ({"collections": [["XX"]], "bases": ["XX"]}, "'kappa'"),
+    "short-kappa": ({"collections": [["XX"], ["ZZ", "ZI"]],
+                     "bases": ["XX", "ZZ"], "kappa": [1.0]},
+                    "one kappa each"),
+}
+SCHEME_COMMANDS = {
+    "variance": ["variance", "--estimator", "ldf"],
+    "simulate": ["simulate", "--estimator", "ldf", "--shots", "100"],
+}
+# (argv after --hamiltonian, Hamiltonian text, scheme JSON or None, fragment)
+ERROR_CASES = [
+    pytest.param(argv, H3, scheme, fragment, id=f"{command}-{name}")
+    for name, (scheme, fragment) in BAD_SCHEMES.items()
+    for command, argv in SCHEME_COMMANDS.items()
+] + [
+    pytest.param(["optimize", "--cost", "diag", "--out", "{tmp}/beta.json"],
+                 H70, None, "70 qubits", id="optimize-70-qubits"),
+    pytest.param(["group"], H70, None, "70 qubits", id="group-70-qubits"),
+]
+
+
+@pytest.mark.parametrize("argv,hamiltonian,scheme,fragment", ERROR_CASES)
+def test_malformed_input_exits_1_with_one_error_line(
+        capsys, tmp_path, argv, hamiltonian, scheme, fragment):
+    path = tmp_path / "h.txt"
+    path.write_text(hamiltonian)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    argv[1:1] = ["--hamiltonian", str(path)]
+    if scheme is not None:
+        (tmp_path / "scheme.json").write_text(json.dumps(scheme))
+        argv += ["--scheme", str(tmp_path / "scheme.json")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert fragment in captured.err
+
+
+def test_partitioning_scheme_accepted(capsys, tmp_path):
+    path = tmp_path / "h.txt"
+    path.write_text(H3)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({"collections": [["XX"], ["ZI", "ZZ"]],
+                                  "bases": ["XX", "ZZ"],
+                                  "kappa": [5 / 9, 4 / 9]}))
+    code, out = run(capsys, ["simulate", "--hamiltonian", str(path),
+                             "--estimator", "ldf", "--scheme", str(scheme),
+                             "--shots", "20000", "--seed", "5"])
+    assert code == 0
+    # the exact single-shot variance is 0.3749
+    assert json.loads(out)["mean"] == pytest.approx(-1.5440, abs=0.03)

@@ -59,6 +59,14 @@ class TestParsing:
         with pytest.raises(HamiltonianFormatError, match="no terms"):
             parse_observable("# nothing\n")
 
+    def test_qubit_limit(self):
+        # the term tables pack each string's masks into one uint64
+        assert parse_observable("1.0 " + "Z" * 64 + "\n").n == 64
+        with pytest.raises(HamiltonianFormatError, match="65 qubits"):
+            parse_observable("1.0 " + "Z" * 65 + "\n")
+        with pytest.raises(HamiltonianFormatError, match="70 qubits"):
+            parse_observable("1.0 Z\n", qubits=70)
+
 
 class TestObservableSum:
     def test_identity_term_rejected_in_terms(self):
