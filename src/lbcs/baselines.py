@@ -3,9 +3,9 @@
 Both draw a measurement basis per shot, read out single qubits, and
 rescale by the inverse sampling weight.  Grouping colors the term graph
 greedily, largest degree first.  Its edges join the pairs that are not
-qubit-wise commuting (XX and YY commute but clash), by the same mask test
-as ``shadows.compatible_pairs``; colors become qubit-wise-commuting
-collections measured in one shared basis each.
+qubit-wise commuting (XX and YY commute but clash); it is the
+``shadows.clash_matrix`` that ``compatible_pairs`` also reads.  Colors
+become qubit-wise-commuting collections measured in one shared basis each.
 """
 
 from __future__ import annotations
@@ -18,18 +18,14 @@ import numpy as np
 from .hamiltonian import ObservableSum, l1_norm, gamma_distribution
 from .pauli import I, Z, PauliError, PauliString, agrees_with_basis
 from .shadows import (EstimateReport, PairTable, _TermData, _parity,
-                      clash_blocks, compatible_pairs, make_rng,
+                      clash_matrix, compatible_pairs, make_rng,
                       sample_outcomes)
 from .states import (StateVector, born_probabilities, expectation,
                      observable_expectation)
 
 
 class GroupingError(ValueError):
-    pass
-
-
-class SchemeError(ValueError):
-    """A malformed grouping scheme, or one that does not partition H."""
+    """A grouping scheme that is malformed or does not fit H."""
 
 
 @dataclass(frozen=True)
@@ -54,10 +50,7 @@ class TermGraph:
 
 def build_term_graph(h: ObservableSum) -> TermGraph:
     data = _TermData(h)
-    clash = np.empty((data.count, data.count), dtype=bool)
-    for a, block in clash_blocks(data):
-        clash[a] = block
-    return TermGraph(tuple(data.strings), data.labels, clash)
+    return TermGraph(tuple(data.strings), data.labels, clash_matrix(data))
 
 
 def ldf_coloring(graph: TermGraph) -> list:
@@ -148,10 +141,9 @@ class GroupingScheme:
             bases = tuple(PauliString.from_text(t) for t in data["bases"])
             kappa = np.asarray(data["kappa"], dtype=float)
         except KeyError as exc:
-            raise SchemeError(f"scheme has no {exc} key") from None
-        if not (bases and kappa.shape == (len(bases),) == (len(collections),)):
-            raise SchemeError("scheme needs at least one collection, with "
-                              "one basis and one kappa each")
+            raise GroupingError(f"scheme has no {exc} key") from None
+        if not bases:
+            raise GroupingError("scheme has no bases")
         return cls(bases[0].n, collections, bases, kappa)
 
     @classmethod
@@ -216,22 +208,19 @@ def l1_protocol(h: ObservableSum, v: StateVector, shots: int,
 
 def _scheme_rows(data: _TermData, scheme: GroupingScheme) -> list:
     """Term-table rows of each collection's strings, in order; raises
-    SchemeError unless the scheme lists every term of H exactly once."""
-    if scheme.n != data.n:
-        raise SchemeError(f"scheme basis {scheme.bases[0]} has {scheme.n} "
-                          f"qubits, the Hamiltonian {data.n}")
+    GroupingError unless the scheme lists every term of H exactly once."""
     index = {q: t for t, q in enumerate(data.strings)}
     try:
         rows = [np.array([index[q] for q in coll], dtype=np.int64)
                 for coll in scheme.collections]
     except KeyError as exc:
-        raise SchemeError(f"scheme string {exc.args[0]} is not a "
-                          f"Hamiltonian term") from None
+        raise GroupingError(f"scheme string {exc.args[0]} is not a term of "
+                            f"the {data.n}-qubit Hamiltonian") from None
     times = np.bincount(np.concatenate(rows), minlength=data.count)
     if np.any(times != 1):
         t = np.argmax(times != 1)
-        raise SchemeError(f"scheme lists term {data.strings[t]} "
-                          f"{times[t]} times, not once")
+        raise GroupingError(f"scheme lists term {data.strings[t]} "
+                            f"{times[t]} times, not once")
     return rows
 
 

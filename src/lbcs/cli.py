@@ -359,11 +359,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DivergenceError, ConvergenceError, GroupingError) as exc:
+    except (DivergenceError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (HamiltonianFormatError, PauliError, StateError, OSError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (HamiltonianFormatError, PauliError, StateError, GroupingError,
+            OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

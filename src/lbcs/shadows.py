@@ -392,31 +392,25 @@ def run_protocol(h: ObservableSum, v: StateVector, beta: BetaDistribution,
 _PAIR_BLOCK = 1 << 18   # term pairs compared at once
 
 
-def clash_blocks(data: _TermData):
-    """Yield (a, clash) for consecutive blocks of row indices a, about
-    ``_PAIR_BLOCK`` term pairs each; clash[r, j] is True where terms a[r]
-    and j are not qubit-wise compatible (some qubit carries two
-    different non-identity labels)."""
+def clash_matrix(data: _TermData) -> np.ndarray:
+    """(count, count) booleans, True where two terms are not qubit-wise
+    compatible: some qubit carries two different non-identity labels.
+    Built about ``_PAIR_BLOCK`` term pairs at a time."""
+    clash = np.empty((data.count, data.count), dtype=bool)
     rows = max(1, _PAIR_BLOCK // max(data.count, 1))
     for start in range(0, data.count, rows):
-        a = np.arange(start, min(start + rows, data.count))
+        a = slice(start, start + rows)
         miss = data.x_masks[a, None] ^ data.x_masks
         miss |= data.z_masks[a, None] ^ data.z_masks
         miss &= data.supp_masks[a, None] & data.supp_masks
-        yield a, miss != 0
+        clash[a] = miss != 0
+    return clash
 
 
 def compatible_pairs(data: _TermData):
     """Index arrays (a, j), a <= j, of the qubit-wise compatible term
     pairs in row-major order."""
-    empty = np.empty(0, dtype=np.int64)
-    found_a, found_j = [empty], [empty]
-    for a, clash in clash_blocks(data):
-        upper = a[:, None] <= np.arange(data.count)
-        hit_a, hit_j = np.nonzero(~clash & upper)
-        found_a.append(a[hit_a])
-        found_j.append(hit_j)
-    return np.concatenate(found_a), np.concatenate(found_j)
+    return np.nonzero(np.triu(~clash_matrix(data)))
 
 
 class PairTable:

@@ -6,7 +6,7 @@ from lbcs import (PauliString, StateVector, parse_observable, build_term_graph,
                   build_grouping, GroupingScheme, l1_protocol,
                   l1_exact_variance, grouping_protocol, grouping_exact_variance,
                   grouping_exact_variance_both)
-from lbcs.baselines import GroupingError, SchemeError
+from lbcs.baselines import GroupingError
 
 import oracles
 
@@ -110,35 +110,6 @@ class TestGroupingScheme:
     def test_kappa_must_be_probability(self):
         with pytest.raises(GroupingError):
             GroupingScheme(1, ((P("Z"),),), (P("Z"),), np.array([0.5]))
-
-    @pytest.mark.parametrize("data", [
-        {"collections": [], "bases": [], "kappa": []},
-        {"collections": [["XX"]], "bases": ["XX"]},
-        {"collections": [["XX"], ["ZZ"]], "bases": ["XX", "ZZ"],
-         "kappa": [1.0]},
-        {"collections": [["XX"]], "bases": ["XX", "ZZ"], "kappa": [1.0]},
-    ], ids=["empty", "no-kappa", "short-kappa", "extra-basis"])
-    def test_malformed_dict_rejected(self, data):
-        with pytest.raises(SchemeError):
-            GroupingScheme.from_dict(data)
-
-    @pytest.mark.parametrize("groups,kappa,culprit", [
-        ([["XX"]], [1.0], "term ZZ 0 times"),
-        ([["XX"], ["XX"], ["ZZ", "ZI"]], [0.25, 0.25, 0.5],
-         "term XX 2 times"),
-        ([["XX"], ["XY"], ["ZZ", "ZI"]], [0.2, 0.3, 0.5], "XY is not"),
-        ([["XXI"], ["ZZI", "ZII"]], [0.5, 0.5], "XXZ has 3 qubits"),
-    ], ids=["missing", "twice", "foreign", "qubits"])
-    def test_scheme_must_partition_h(self, groups, kappa, culprit):
-        h = parse_observable("1.0 XX\n0.5 ZZ\n0.3 ZI\n")
-        scheme = GroupingScheme.from_dict({
-            "collections": groups, "kappa": kappa,
-            "bases": [g[0].replace("I", "Z") for g in groups]})
-        v = StateVector.from_bits("00")
-        with pytest.raises(SchemeError, match=culprit):
-            grouping_protocol(h, scheme, v, 10, seed=0)
-        with pytest.raises(SchemeError, match=culprit):
-            grouping_exact_variance_both(h, scheme, v)
 
 
 class TestL1:

@@ -223,13 +223,19 @@ BAD_SCHEMES = {
            "XY is not"),
     "3-qubits": ({"collections": [["XXI"], ["ZZI", "ZII"]],
                   "bases": ["XXZ", "ZZZ"], "kappa": [0.5, 0.5]},
-                 "3 qubits"),
+                 "XXI is not a term of the 2-qubit"),
     "empty": ({"collections": [], "bases": [], "kappa": []},
-              "at least one collection"),
+              "no bases"),
     "no-kappa": ({"collections": [["XX"]], "bases": ["XX"]}, "'kappa'"),
     "short-kappa": ({"collections": [["XX"], ["ZZ", "ZI"]],
                      "bases": ["XX", "ZZ"], "kappa": [1.0]},
-                    "one kappa each"),
+                    "must align"),
+    "kappa-sum": ({"collections": [["XX"], ["ZZ", "ZI"]],
+                   "bases": ["XX", "ZZ"], "kappa": [0.5, 0.4]},
+                  "probability vector"),
+    "wrong-basis": ({"collections": [["XX"], ["ZZ", "ZI"]],
+                     "bases": ["XZ", "ZZ"], "kappa": [0.5, 0.5]},
+                    "does not agree"),
 }
 SCHEME_COMMANDS = {
     "variance": ["variance", "--estimator", "ldf"],
