@@ -3,8 +3,8 @@
 Both draw a measurement basis per shot, read out single qubits, and
 rescale by the inverse sampling weight.  Grouping colors the term graph
 greedily, largest degree first.  Its edges join the pairs that are not
-qubit-wise commuting (XX and YY commute but clash); it is the
-``shadows.clash_matrix`` that ``compatible_pairs`` also reads.  Colors
+qubit-wise commuting (XX and YY commute but clash); they come from
+``shadows.clash_matrix``, the test ``compatible_pairs`` also uses.  Colors
 become qubit-wise-commuting collections measured in one shared basis each.
 """
 
