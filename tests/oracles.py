@@ -225,3 +225,64 @@ def random_beta(rng, n, min_entry=0.05):
 
 def random_signs(rng, n):
     return tuple(int(s) for s in rng.choice([1, -1], size=n))
+
+
+# -- reference samplers ---------------------------------------------------
+
+def _sample_index(probs, u):
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return np.searchsorted(cum, u, side="right")
+
+
+def _report(estimates, shots, seed):
+    from lbcs import EstimateReport
+
+    var = float(estimates.var(ddof=1)) if shots > 1 else 0.0
+    return EstimateReport(float(estimates.mean()), var, shots, seed)
+
+
+def l1_reference(h, v, shots, seed):
+    """The l1 sampler holding all shots at once: draw every term index from
+    gamma (terms in the Pauli total order), then every sign uniform; a
+    shot's sign is +1 with probability (1 + <v|P|v>) / 2."""
+    from lbcs import expectation, gamma_distribution, l1_norm
+
+    gamma = gamma_distribution(h)
+    terms = sorted(gamma)
+    probs = np.array([gamma[q] for q in terms])
+    signs = np.array([np.sign(h.terms[q]) for q in terms])
+    means = np.array([expectation(v, q) for q in terms])
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    which = _sample_index(probs, rng.random(shots))
+    u = rng.random(shots)
+    mu = np.where(u < 0.5 * (1.0 + means[which]), 1.0, -1.0)
+    estimates = h.identity_coefficient + l1_norm(h) * signs[which] * mu
+    return _report(estimates, shots, seed)
+
+
+def grouping_reference(h, scheme, v, shots, seed):
+    """The grouping sampler holding all shots at once: draw every
+    collection from kappa, then every outcome uniform; a shot of
+    collection k inverts the Born CDF of its basis and sums
+    alpha_q / kappa_k * (-1)^parity(outcome & supp q) over the members,
+    through a (shots_k x terms_k) sign matrix."""
+    from lbcs.states import born_probabilities
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    which = _sample_index(scheme.kappa.copy(), rng.random(shots))
+    u = rng.random(shots)
+    estimates = np.empty(shots)
+    for k in np.unique(which):
+        sel = np.nonzero(which == k)[0]
+        coll = scheme.collections[k]
+        if not coll:
+            estimates[sel] = h.identity_coefficient
+            continue
+        probs = born_probabilities(v, scheme.bases[k])
+        outcomes = _sample_index(probs, u[sel]).astype(np.uint64)
+        weights = np.array([h.terms[q] for q in coll]) / scheme.kappa[k]
+        masks = np.array([q.support_mask for q in coll], dtype=np.uint64)
+        signs = 1.0 - 2.0 * (np.bitwise_count(outcomes[:, None] & masks) & 1)
+        estimates[sel] = h.identity_coefficient + signs @ weights
+    return _report(estimates, shots, seed)

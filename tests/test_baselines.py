@@ -355,3 +355,60 @@ def test_clash_relation_matches_oracle(rng):
                                          max_terms=12) for _ in range(40)]
     for h in cases:
         assert build_term_graph(h).clash.tolist() == oracle_clash(h)
+
+
+# -- samplers against the all-shots-at-once references ---------------------
+
+SAMPLER_SHOTS = [1, 2, 5000, 70_001]   # the last spans several chunks
+
+
+def with_empty_collection(scheme, share=0.2):
+    """The scheme plus an empty collection drawn with probability share."""
+    kappa = np.append(scheme.kappa * (1.0 - share), share)
+    return GroupingScheme(scheme.n, scheme.collections + ((),),
+                          scheme.bases + (P("Z" * scheme.n),),
+                          kappa / kappa.sum())
+
+
+def sampler_cases():
+    rng = np.random.Generator(np.random.Philox(key=606))
+    for case in range(8):
+        n = int(rng.integers(1, 7))
+        h = oracles.random_hamiltonian(rng, n, max_terms=4 * n)
+        v = oracles.random_state(rng, n)
+        scheme = build_grouping(h)
+        if case % 2:
+            scheme = with_empty_collection(scheme)
+        yield case, h, scheme, v
+
+
+def assert_same_report(got, want):
+    assert (got.shots, got.seed) == (want.shots, want.seed)
+    assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-12)
+    assert got.variance == pytest.approx(want.variance, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("shots", SAMPLER_SHOTS)
+def test_grouping_protocol_matches_reference(shots):
+    for case, h, scheme, v in sampler_cases():
+        assert_same_report(grouping_protocol(h, scheme, v, shots, case),
+                           oracles.grouping_reference(h, scheme, v, shots,
+                                                      case))
+
+
+@pytest.mark.parametrize("shots", SAMPLER_SHOTS)
+def test_l1_protocol_matches_reference(shots):
+    for case, h, _, v in sampler_cases():
+        assert_same_report(l1_protocol(h, v, shots, case),
+                           oracles.l1_reference(h, v, shots, case))
+
+
+def test_empty_collection_shots_report_identity_coefficient():
+    h = parse_observable("0.75 II\n1.0 ZI\n1.0 IZ\n")
+    scheme = GroupingScheme(2, ((), (P("ZI"), P("IZ"))), (P("ZZ"), P("ZZ")),
+                            np.array([0.5, 0.5]))
+    report = grouping_protocol(h, scheme, StateVector.from_bits("00"),
+                               4000, seed=1)
+    # empty-collection shots give 0.75, the others 0.75 + 2 / 0.5
+    assert report.mean == pytest.approx(2.75, abs=0.2)
+    assert report.variance == pytest.approx(4.0, rel=0.05)
