@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pauli import PauliString
+import numpy as np
+
+from .pauli import PauliString, label_codes
 
 MAX_QUBITS = 64  # the term tables pack x and z masks into uint64
 
@@ -46,7 +48,12 @@ class ObservableSum:
 
     def sorted_terms(self):
         """Descending |alpha|, ties broken by the Pauli total order."""
-        return sorted(self.terms.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
+        items = list(self.terms.items())
+        labels = label_codes(
+            np.array([q.x_mask for q, _ in items], dtype=np.uint64),
+            np.array([q.z_mask for q, _ in items], dtype=np.uint64), self.n)
+        size = np.abs(np.array([a for _, a in items], dtype=float))
+        return [items[t] for t in np.lexsort((*labels.T[::-1], -size))]
 
     def num_terms(self) -> int:
         return len(self.terms)

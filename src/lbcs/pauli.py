@@ -21,6 +21,7 @@ LABEL_CHARS = "IXYZ"
 # code -> (x bit, z bit)
 _CODE_TO_BITS = {I: (0, 0), X: (1, 0), Y: (1, 1), Z: (0, 1)}
 _BITS_TO_CODE = {v: k for k, v in _CODE_TO_BITS.items()}
+_CODE_OF_BITS = np.array([[I, Z], [X, Y]])   # indexed [x bit, z bit]
 
 
 class PauliError(ValueError):
@@ -149,6 +150,16 @@ def product(p: PauliString, q: PauliString) -> PhasedPauli:
         - (x3 & z3).bit_count()
     ) % 4
     return PhasedPauli(k, PauliString(p.n, x3, z3))
+
+
+def label_codes(x_masks: np.ndarray, z_masks: np.ndarray,
+                n: int) -> np.ndarray:
+    """(count, n) label codes of the n-qubit strings given by uint64
+    masks, qubit 1 first."""
+    shift = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    one = np.uint64(1)
+    return _CODE_OF_BITS[(x_masks[:, None] >> shift) & one,
+                         (z_masks[:, None] >> shift) & one]
 
 
 def support(q: PauliString) -> set:

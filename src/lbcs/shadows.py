@@ -32,7 +32,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .hamiltonian import ObservableSum
-from .pauli import X, Y, Z, LABEL_CHARS, PauliError, PauliString, f_factor
+from .pauli import (X, Y, Z, LABEL_CHARS, PauliError, PauliString, f_factor,
+                    label_codes)
 from .states import (BASIS_ROTATIONS, MultiReference, SingleReference,
                      StateVector, born_probabilities)
 
@@ -195,13 +196,11 @@ class _TermData:
         self.strings = [q for q, _ in items]
         self.coeffs = np.array([a for _, a in items], dtype=float)
         self.count = len(items)
-        self.labels = np.zeros((self.count, h.n), dtype=np.int64)
-        for t, q in enumerate(self.strings):
-            self.labels[t] = q.labels()
         self.x_masks = np.array([q.x_mask for q in self.strings],
                                 dtype=np.uint64)
         self.z_masks = np.array([q.z_mask for q in self.strings],
                                 dtype=np.uint64)
+        self.labels = label_codes(self.x_masks, self.z_masks, h.n)
         self.supp_masks = self.x_masks | self.z_masks
         # needed[i, w - 1]: some term carries label w on qubit i
         self.needed = np.stack([(self.labels == w).any(axis=0)

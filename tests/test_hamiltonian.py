@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +6,7 @@ from hypothesis import strategies as st
 from lbcs import (ObservableSum, PauliString, parse_observable,
                   serialize_observable, l1_norm, gamma_distribution)
 from lbcs.hamiltonian import HamiltonianFormatError
+from lbcs.shadows import _TermData
 
 
 def P(text):
@@ -84,6 +86,26 @@ class TestObservableSum:
     def test_sorted_terms_tie_break_by_pauli_order(self):
         h = parse_observable("1.0 ZI\n1.0 IX\n")
         assert [q.to_text() for q, _ in h.sorted_terms()] == ["IX", "ZI"]
+
+    def test_sorted_terms_match_tuple_sort(self):
+        rng = np.random.Generator(np.random.Philox(key=44))
+        for _ in range(40):
+            n = int(rng.integers(1, 10))
+            terms = {}
+            for _ in range(int(rng.integers(1, 30))):
+                labels = rng.integers(0, 4, size=n)
+                if labels.any():
+                    # few distinct magnitudes, so the tie-break decides
+                    terms[PauliString.from_labels(labels.tolist())] = float(
+                        rng.choice([-1.0, -0.5, 0.25, 0.5, 1.0, 0.3]))
+            h = ObservableSum(n, terms, 0.5)
+            want = sorted(h.terms.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
+            assert h.sorted_terms() == want
+            assert serialize_observable(h) == "".join(
+                [f"{0.5!r} {'I' * n}\n"]
+                + [f"{a!r} {q.to_text()}\n" for q, a in want])
+            assert _TermData(h).labels.tolist() == [list(q.labels())
+                                                    for q, _ in want]
 
     def test_scaled(self):
         h = parse_observable("1.0 II\n2.0 X\n", qubits=2)
