@@ -6,6 +6,18 @@ greedily, largest degree first.  Its edges join the pairs that are not
 qubit-wise commuting (XX and YY commute but clash); they come from
 ``shadows.clash_matrix``, the test ``compatible_pairs`` also uses.  Colors
 become qubit-wise-commuting collections measured in one shared basis each.
+
+Both samplers stream shots in chunks of ``_SAMPLER_CHUNK``, so memory
+does not grow with the shot count.  Each consumes the run seed's Philox
+stream in a fixed order: all term (or collection) uniforms, then all
+outcome uniforms, each chunk reading its share of both.  A shot's
+estimate depends only on its term and sign, or on its collection and
+outcome index, so a chunk only counts those pairs; the report comes from
+the exact counts and does not depend on the chunk size.  The grouping
+sampler tabulates each collection's estimate over all 2^n outcomes once
+(a Walsh-Hadamard transform) and keeps each basis's Born CDF; these take
+K * 2^n entries each, and above ``TABLE_ENTRY_LIMIT`` it raises
+SizeLimitError.
 """
 
 from __future__ import annotations
@@ -17,15 +29,26 @@ import numpy as np
 
 from .hamiltonian import ObservableSum, l1_norm, gamma_distribution
 from .pauli import I, Z, PauliError, PauliString, agrees_with_basis
-from .shadows import (EstimateReport, PairTable, _TermData, _parity,
+from .shadows import (EstimateReport, PairTable, _TermData, _rng_at,
                       clash_matrix, compatible_pairs, make_rng,
                       sample_outcomes)
-from .states import (StateVector, born_probabilities, expectation,
-                     observable_expectation)
+from .states import (StateVector, born_probabilities, observable_expectation,
+                     walsh_hadamard)
+
+
+# Shots per chunk of the l1 and grouping samplers.  Reports do not
+# depend on it.
+_SAMPLER_CHUNK = 1 << 15
+# Entries of the grouping tables (and of the CDFs): groups x 2^n
+TABLE_ENTRY_LIMIT = 1 << 24
 
 
 class GroupingError(ValueError):
     """A grouping scheme that is malformed or does not fit H."""
+
+
+class SizeLimitError(RuntimeError):
+    """An input whose tables would exceed a fixed size limit."""
 
 
 @dataclass(frozen=True)
@@ -100,6 +123,12 @@ def kappa_weights(h: ObservableSum, collections) -> np.ndarray:
     return kappa / kappa.sum()
 
 
+def _scheme_string(text) -> PauliString:
+    if not isinstance(text, str):
+        raise GroupingError(f"scheme entry {text!r} is not a Pauli string")
+    return PauliString.from_text(text)
+
+
 @dataclass(frozen=True)
 class GroupingScheme:
     n: int
@@ -134,16 +163,21 @@ class GroupingScheme:
 
     @classmethod
     def from_dict(cls, data) -> "GroupingScheme":
+        if not isinstance(data, dict):
+            raise GroupingError("scheme must be a JSON object")
         try:
-            collections = tuple(
-                tuple(PauliString.from_text(t) for t in coll)
-                for coll in data["collections"])
-            bases = tuple(PauliString.from_text(t) for t in data["bases"])
+            collections = tuple(tuple(_scheme_string(t) for t in coll)
+                                for coll in data["collections"])
+            bases = tuple(_scheme_string(t) for t in data["bases"])
             kappa = np.asarray(data["kappa"], dtype=float)
         except KeyError as exc:
             raise GroupingError(f"scheme has no {exc} key") from None
+        except TypeError as exc:
+            raise GroupingError(f"malformed scheme: {exc}") from None
         if not bases:
             raise GroupingError("scheme has no bases")
+        if kappa.ndim != 1:
+            raise GroupingError("kappa must be a list of numbers")
         return cls(bases[0].n, collections, bases, kappa)
 
     @classmethod
@@ -159,7 +193,11 @@ class GroupingScheme:
 
 def build_grouping(h: ObservableSum) -> GroupingScheme:
     """LDF coloring plus representatives and l1 sampling weights."""
-    graph = build_term_graph(h)
+    return grouping_from_graph(h, build_term_graph(h))
+
+
+def grouping_from_graph(h: ObservableSum, graph: TermGraph) -> GroupingScheme:
+    """``build_grouping`` on the term graph ``build_term_graph(h)``."""
     collections = ldf_coloring(graph)
     bases = tuple(representative_basis(coll, h.n) for coll in collections)
     kappa = kappa_weights(h, collections)
@@ -175,6 +213,19 @@ def l1_exact_variance(h: ObservableSum, v: StateVector) -> float:
     return l1_norm(h) ** 2 - mean0 ** 2
 
 
+def _histogram_report(counts: np.ndarray, values: np.ndarray, offset: float,
+                      shots: int, seed: int) -> EstimateReport:
+    """Report of ``shots`` estimates offset + values[i], each drawn
+    counts[i] times.  The counts are exact, so the report does not depend
+    on how the shots were split into chunks; mean and variance are two
+    passes over the histogram."""
+    weights = counts.astype(float)
+    mean0 = float(weights @ values) / shots
+    var = (float(weights @ (values - mean0) ** 2) / (shots - 1)
+           if shots > 1 else 0.0)
+    return EstimateReport(offset + mean0, var, shots, seed)
+
+
 def l1_protocol(h: ObservableSum, v: StateVector, shots: int,
                 seed: int) -> EstimateReport:
     """Draw a term from gamma per shot, measure only its support, and
@@ -182,26 +233,36 @@ def l1_protocol(h: ObservableSum, v: StateVector, shots: int,
 
     The estimator depends on the measured bits only through the product
     mu(P, supp(P)), whose exact two-point law has mean tr(rho P); the
-    product is sampled directly from that law.
+    product is sampled directly from that law: +1 when the shot's sign
+    uniform is below (1 + tr(rho P)) / 2.  The stream holds all term
+    uniforms (terms in the Pauli total order), then all sign uniforms.
+    Shots run ``_SAMPLER_CHUNK`` at a time, each chunk reading its share
+    of both and counting its (term, sign) pairs, so memory does not grow
+    with ``shots``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if h.n != v.n:
+        raise PauliError("qubit count mismatch")
     gamma = gamma_distribution(h)
-    terms = sorted(gamma)           # deterministic order
-    probs = np.array([gamma[q] for q in terms])
-    signs = np.array([np.sign(h.terms[q]) for q in terms])
-    means = np.array([expectation(v, q) for q in terms])
-    norm = l1_norm(h)
+    data = _TermData(h)
+    order = np.lexsort(data.labels.T[::-1])       # the Pauli total order
+    probs = np.array([gamma[data.strings[t]] for t in order])
+    p_plus = 0.5 * (1.0 + v.pauli_traces(data.x_masks[order],
+                                         data.z_masks[order]))
 
-    rng = make_rng(seed)
-    which = sample_outcomes(probs, rng.random(shots))
-    u = rng.random(shots)
-    p_plus = 0.5 * (1.0 + means[which])
-    mu = np.where(u < p_plus, 1.0, -1.0)
-    estimates = h.identity_coefficient + norm * signs[which] * mu
-    mean = float(estimates.mean())
-    var = float(estimates.var(ddof=1)) if shots > 1 else 0.0
-    return EstimateReport(mean, var, shots, seed)
+    term_rng = make_rng(seed)
+    sign_rng = _rng_at(seed, shots)
+    counts = np.zeros(2 * data.count, dtype=np.int64)   # [term, mu > 0]
+    for start in range(0, shots, _SAMPLER_CHUNK):
+        size = min(_SAMPLER_CHUNK, shots - start)
+        which = sample_outcomes(probs, term_rng.random(size))
+        np.add.at(counts, 2 * which + (sign_rng.random(size) < p_plus[which]),
+                  1)
+    scale = l1_norm(h) * np.sign(data.coeffs[order])
+    values = np.stack([-scale, scale], axis=1).ravel()
+    return _histogram_report(counts, values, h.identity_coefficient, shots,
+                             seed)
 
 
 # -- grouping estimator ---------------------------------------------------
@@ -224,10 +285,46 @@ def _scheme_rows(data: _TermData, scheme: GroupingScheme) -> list:
     return rows
 
 
+def _group_tables(data: _TermData, scheme: GroupingScheme, rows: list,
+                  v: StateVector):
+    """(tables, cdfs), both (K, 2^n).  tables[k, o] is the estimate less
+    the identity coefficient of a collection-k shot with outcome o:
+    sum_t alpha_t / kappa_k (-1)^parity(o & supp_t), the Walsh-Hadamard
+    transform of the weights placed at the members' support masks (members
+    of one collection agree with one basis, so their masks differ).
+    cdfs[k] is the Born CDF of basis k, its last entry set to 1."""
+    entries = scheme.k_groups << data.n
+    if entries > TABLE_ENTRY_LIMIT:
+        raise SizeLimitError(
+            f"{scheme.k_groups} groups on {data.n} qubits need {entries} "
+            f"table entries, above the limit of {TABLE_ENTRY_LIMIT}")
+    tables = np.zeros((scheme.k_groups, 1 << data.n))
+    cdfs = np.ones_like(tables)    # an empty collection reads outcome 0
+    for k, terms in enumerate(rows):
+        if not terms.size:
+            continue
+        tables[k, data.supp_masks[terms]] = (data.coeffs[terms]
+                                             / scheme.kappa[k])
+        cdfs[k] = np.cumsum(born_probabilities(v, scheme.bases[k]))
+        cdfs[k, -1] = 1.0
+    return walsh_hadamard(tables), cdfs
+
+
 def grouping_protocol(h: ObservableSum, scheme: GroupingScheme,
                       v: StateVector, shots: int, seed: int) -> EstimateReport:
     """Per shot: pick a collection from kappa, measure all qubits in its
-    representative basis, average the inverse-kappa-weighted group sum."""
+    representative basis, average the inverse-kappa-weighted group sum.
+
+    The stream holds all collection uniforms, then all outcome uniforms.
+    Shots run ``_SAMPLER_CHUNK`` at a time, each chunk reading its share
+    of both, so memory does not grow with ``shots``.  Within a chunk the
+    shots of each collection take their outcomes by one inversion of its
+    Born CDF, and the chunk adds to the counts of (collection, outcome)
+    pairs.  A pair's estimate is one entry of the collection's table
+    (``_group_tables``).  The tables, CDFs and counts hold K * 2^n entries
+    each; above ``TABLE_ENTRY_LIMIT`` the call raises SizeLimitError
+    before allocating them.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if h.n != v.n:
@@ -238,28 +335,25 @@ def grouping_protocol(h: ObservableSum, scheme: GroupingScheme,
         if coll and scheme.kappa[k] <= 0:
             raise GroupingError(
                 f"collection {k} is nonempty but has zero sampling weight")
+    tables, cdfs = _group_tables(data, scheme, rows, v)
 
-    rng = make_rng(seed)
-    which = sample_outcomes(scheme.kappa.copy(), rng.random(shots))
-    u = rng.random(shots)
-    estimates = np.empty(shots, dtype=float)
-
-    for k in np.unique(which):
-        sel = np.nonzero(which == k)[0]
-        terms = rows[k]
-        if not terms.size:
-            estimates[sel] = h.identity_coefficient
-            continue
-        probs = born_probabilities(v, scheme.bases[k])
-        outcomes = sample_outcomes(probs, u[sel]).astype(np.uint64)
-        weights = data.coeffs[terms] / scheme.kappa[k]
-        masks = data.supp_masks[terms]
-        signs = 1.0 - 2.0 * _parity(outcomes[:, None] & masks[None, :])
-        estimates[sel] = h.identity_coefficient + signs @ weights
-
-    mean = float(estimates.mean())
-    var = float(estimates.var(ddof=1)) if shots > 1 else 0.0
-    return EstimateReport(mean, var, shots, seed)
+    group_rng = make_rng(seed)
+    outcome_rng = _rng_at(seed, shots)
+    counts = np.zeros(tables.size, dtype=np.int64)   # [which, outcome]
+    for start in range(0, shots, _SAMPLER_CHUNK):
+        size = min(_SAMPLER_CHUNK, shots - start)
+        which = sample_outcomes(scheme.kappa, group_rng.random(size))
+        u = outcome_rng.random(size)
+        order = np.argsort(which, kind="stable")
+        bounds = np.searchsorted(which[order],
+                                 np.arange(scheme.k_groups + 1))
+        outcomes = np.empty(size, dtype=np.int64)
+        for k in np.flatnonzero(np.diff(bounds)):
+            sel = order[bounds[k]:bounds[k + 1]]
+            outcomes[sel] = np.searchsorted(cdfs[k], u[sel], side="right")
+        np.add.at(counts, (which << data.n) + outcomes, 1)
+    return _histogram_report(counts, tables.ravel(), h.identity_coefficient,
+                             shots, seed)
 
 
 def grouping_exact_variance_both(h: ObservableSum, scheme: GroupingScheme,

@@ -3,7 +3,8 @@
 Subcommands: ground, optimize, variance, simulate, group, compare.
 Every run is deterministic given (inputs, flags, seed); JSON outputs
 embed a manifest with input digests and the seed used.  Exit codes:
-0 success, 1 input/parse error, 2 numerical failure.
+0 success, 1 input/parse error, 2 numerical failure or an input above a
+size limit.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baselines import (GroupingError, GroupingScheme, build_grouping,
-                        build_term_graph, grouping_exact_variance,
+from .baselines import (GroupingError, GroupingScheme, SizeLimitError,
+                        build_grouping, build_term_graph,
+                        grouping_exact_variance, grouping_from_graph,
                         grouping_protocol, l1_exact_variance, l1_protocol)
 from .hamiltonian import (HamiltonianFormatError, ObservableSum, l1_norm,
                           load_observable)
@@ -216,7 +218,7 @@ def cmd_simulate(args) -> int:
 def cmd_group(args) -> int:
     h = load_observable(args.hamiltonian, qubits=args.qubits)
     graph = build_term_graph(h)
-    scheme = build_grouping(h)
+    scheme = grouping_from_graph(h, graph)
     if args.out:
         scheme.save(args.out)
     norm = l1_norm(h)
@@ -359,7 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DivergenceError, ConvergenceError) as exc:
+    except (DivergenceError, ConvergenceError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (HamiltonianFormatError, PauliError, StateError, GroupingError,

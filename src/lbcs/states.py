@@ -211,8 +211,12 @@ def pair_expectation(v: StateVector, q: PauliString, r: PauliString) -> float:
 
 
 def observable_expectation(h: ObservableSum, v: StateVector) -> float:
-    return h.identity_coefficient + sum(
-        a * expectation(v, q) for q, a in h.terms.items())
+    if h.n != v.n:
+        raise PauliError(f"qubit count mismatch: {h.n} vs {v.n}")
+    x = np.array([q.x_mask for q in h.terms], dtype=np.uint64)
+    z = np.array([q.z_mask for q in h.terms], dtype=np.uint64)
+    coeffs = np.array(list(h.terms.values()), dtype=float)
+    return h.identity_coefficient + float(coeffs @ v.pauli_traces(x, z))
 
 
 def reference_expectation(ref: SingleReference, q: PauliString,
@@ -245,6 +249,21 @@ _PHASES = np.array([1, 1j, -1, -1j])
 _TRANSFORM_BLOCK = 1 << 16   # amplitudes per batch of transforms
 
 
+def walsh_hadamard(g: np.ndarray) -> np.ndarray:
+    """Transform the rows of the C-contiguous (rows, 2^m) array ``g`` in
+    place, g[r, s] <- sum_j g[r, j] (-1)^{popcount(j & s)}, and return it."""
+    rows, dim = g.shape
+    half = 1
+    while half < dim:
+        pairs = g.reshape(rows, -1, 2, half)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        half *= 2
+    return g
+
+
 def _statevector_traces(amps: np.ndarray, x: np.ndarray,
                         z: np.ndarray) -> np.ndarray:
     # With g[j] = conj(v[j ^ x]) v[j], <v| X^x Z^z |v> is the transform
@@ -258,15 +277,8 @@ def _statevector_traces(amps: np.ndarray, x: np.ndarray,
     batch = max(1, _TRANSFORM_BLOCK // dim)
     for start in range(0, xs.size, batch):
         stop = min(start + batch, xs.size)
-        g = amps[idx[None, :] ^ xs[start:stop, None]].conj() * amps
-        half = 1
-        while half < dim:
-            pairs = g.reshape(stop - start, -1, 2, half)
-            lo, hi = pairs[:, :, 0], pairs[:, :, 1]
-            diff = lo - hi
-            lo += hi
-            hi[...] = diff
-            half *= 2
+        g = walsh_hadamard(amps[idx[None, :] ^ xs[start:stop, None]].conj()
+                           * amps)
         sel = order[bounds[start]:bounds[stop]]
         phase = _PHASES[np.bitwise_count(x[sel] & z[sel]) & 3]
         out[sel] = (phase * g[which[sel] - start, z[sel]]).real

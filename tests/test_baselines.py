@@ -6,9 +6,12 @@ from lbcs import (PauliString, StateVector, parse_observable, build_term_graph,
                   build_grouping, GroupingScheme, l1_protocol,
                   l1_exact_variance, grouping_protocol, grouping_exact_variance,
                   grouping_exact_variance_both)
-from lbcs.baselines import GroupingError
+from lbcs import baselines, run_protocol, uniform_beta
+from lbcs.baselines import GroupingError, SizeLimitError
+from lbcs.cli import main
 
 import oracles
+from conftest import peak_traced_mb
 
 
 def P(text):
@@ -412,3 +415,51 @@ def test_empty_collection_shots_report_identity_coefficient():
     # empty-collection shots give 0.75, the others 0.75 + 2 / 0.5
     assert report.mean == pytest.approx(2.75, abs=0.2)
     assert report.variance == pytest.approx(4.0, rel=0.05)
+
+
+@pytest.mark.parametrize("shots", [1, 50, 403])
+def test_sampler_reports_independent_of_chunk_size(monkeypatch, shots):
+    assert SAMPLER_SHOTS[-1] > 2 * baselines._SAMPLER_CHUNK
+    for case, h, scheme, v in sampler_cases():
+        whole = (grouping_protocol(h, scheme, v, shots, case),
+                 l1_protocol(h, v, shots, case))
+        with monkeypatch.context() as patch:
+            patch.setattr(baselines, "_SAMPLER_CHUNK", 7)
+            assert (grouping_protocol(h, scheme, v, shots, case),
+                    l1_protocol(h, v, shots, case)) == whole
+
+
+MEMORY_H = "1.0 XX\n0.5 ZZ\n0.3 ZI\n"
+
+
+@pytest.mark.parametrize("protocol", ["ldf", "l1", "shadows"])
+def test_sampler_memory_flat_in_shots(protocol):
+    h = parse_observable(MEMORY_H)
+    v = oracles.random_state(np.random.Generator(np.random.Philox(key=9)), 2)
+    run = {
+        "ldf": lambda: grouping_protocol(h, build_grouping(h), v, 10 ** 6, 1),
+        "l1": lambda: l1_protocol(h, v, 10 ** 6, 1),
+        "shadows": lambda: run_protocol(h, v, uniform_beta(2), 10 ** 6, 1),
+    }[protocol]
+    assert peak_traced_mb(run) < 16
+
+
+def test_grouping_table_size_limit(monkeypatch, capsys, tmp_path):
+    h = parse_observable(MEMORY_H)       # two groups of 2^2 outcomes
+    v = StateVector.from_bits("00")
+    scheme = build_grouping(h)
+    assert scheme.k_groups << h.n == 8
+    monkeypatch.setattr(baselines, "TABLE_ENTRY_LIMIT", 7)
+    with pytest.raises(SizeLimitError, match="8 table entries, above the "
+                                             "limit of 7"):
+        grouping_protocol(h, scheme, v, 10, 1)
+    (tmp_path / "h.txt").write_text(MEMORY_H)
+    np.save(tmp_path / "v.npy", v.amplitudes)
+    code = main(["simulate", "--hamiltonian", str(tmp_path / "h.txt"),
+                 "--estimator", "ldf", "--state", str(tmp_path / "v.npy"),
+                 "--shots", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: 2 groups on 2 qubits need 8 table "
+                            "entries, above the limit of 7\n")

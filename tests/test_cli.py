@@ -236,6 +236,12 @@ BAD_SCHEMES = {
     "wrong-basis": ({"collections": [["XX"], ["ZZ", "ZI"]],
                      "bases": ["XZ", "ZZ"], "kappa": [0.5, 0.5]},
                     "does not agree"),
+    "scalar-kappa": ({"collections": [["XX", "ZZ", "ZI"]],
+                      "bases": ["XX"], "kappa": 1.0},
+                     "kappa must be a list"),
+    "top-level-list": ([["XX"], ["ZZ", "ZI"]], "JSON object"),
+    "non-string": ({"collections": [[1]], "bases": ["XX"], "kappa": [1.0]},
+                   "1 is not a Pauli string"),
 }
 SCHEME_COMMANDS = {
     "variance": ["variance", "--estimator", "ldf"],
