@@ -257,8 +257,8 @@ def l1_protocol(h: ObservableSum, v: StateVector, shots: int,
     for start in range(0, shots, _SAMPLER_CHUNK):
         size = min(_SAMPLER_CHUNK, shots - start)
         which = sample_outcomes(probs, term_rng.random(size))
-        np.add.at(counts, 2 * which + (sign_rng.random(size) < p_plus[which]),
-                  1)
+        plus = sign_rng.random(size) < p_plus[which]
+        np.add.at(counts, 2 * which + plus, 1)
     scale = l1_norm(h) * np.sign(data.coeffs[order])
     values = np.stack([-scale, scale], axis=1).ravel()
     return _histogram_report(counts, values, h.identity_coefficient, shots,

@@ -5,8 +5,8 @@ from lbcs import (PauliString, StateVector, parse_observable, build_term_graph,
                   ldf_coloring, representative_basis, kappa_weights,
                   build_grouping, GroupingScheme, l1_protocol,
                   l1_exact_variance, grouping_protocol, grouping_exact_variance,
-                  grouping_exact_variance_both)
-from lbcs import baselines, run_protocol, uniform_beta
+                  grouping_exact_variance_both, run_protocol, uniform_beta)
+from lbcs import baselines
 from lbcs.baselines import GroupingError, SizeLimitError
 from lbcs.cli import main
 
