@@ -2,22 +2,17 @@
 
 __version__ = "0.1.0"
 
-from .pauli import (PauliString, PhasedPauli, product, support, weight,
-                    qubitwise_commute, agrees_with_basis, f_factor)
+from .pauli import PauliString, agrees_with_basis
 from .hamiltonian import (ObservableSum, parse_observable, load_observable,
                           serialize_observable, l1_norm, gamma_distribution)
 from .states import (StateVector, SingleReference, MultiReference,
-                     apply_pauli, apply_observable, lanczos_ground,
-                     expectation, pair_expectation, reference_expectation,
-                     multireference_density_expectation, load_reference)
-from .shadows import (BetaDistribution, MeasurementRecord, EstimateReport,
-                      uniform_beta, sample_basis, measure_state,
-                      single_shot_estimate, run_protocol, exact_variance)
+                     lanczos_ground, load_reference)
+from .shadows import (BetaDistribution, EstimateReport, uniform_beta,
+                      run_protocol, exact_variance)
 from .baselines import (TermGraph, GroupingScheme, build_term_graph,
                         ldf_coloring, representative_basis, kappa_weights,
                         build_grouping, l1_protocol, l1_exact_variance,
                         grouping_protocol, grouping_exact_variance,
                         grouping_exact_variance_both)
-from .optimizer import (OptimizerConfig, OptimizeResult, influential_pairs,
-                        cost_full, cost_diag, cost_multiref,
-                        lagrange_update_diag, lagrange_update_full, optimize)
+from .optimizer import (OptimizerConfig, OptimizeResult, cost_full,
+                        cost_diag, cost_multiref, optimize)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .hamiltonian import ObservableSum, l1_norm, gamma_distribution
 from .pauli import I, Z, PauliError, PauliString, agrees_with_basis
-from .shadows import (EstimateReport, PairTable, _TermData, _rng_at,
-                      clash_matrix, compatible_pairs, make_rng,
+from .shadows import (EstimateReport, PairTable, SizeLimitError, _TermData,
+                      _rng_at, clash_matrix, compatible_pairs, make_rng,
                       sample_outcomes)
 from .states import (StateVector, born_probabilities, observable_expectation,
                      walsh_hadamard)
@@ -45,10 +45,6 @@ TABLE_ENTRY_LIMIT = 1 << 24
 
 class GroupingError(ValueError):
     """A grouping scheme that is malformed or does not fit H."""
-
-
-class SizeLimitError(RuntimeError):
-    """An input whose tables would exceed a fixed size limit."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,8 @@ class GroupingScheme:
         if not (len(self.collections) == len(self.bases) == len(self.kappa)):
             raise GroupingError("collections, bases and kappa must align")
         kappa = np.asarray(self.kappa, dtype=float)
-        if np.any(kappa < 0) or abs(kappa.sum() - 1.0) > 1e-12:
+        # written so that a NaN entry fails the test
+        if not (np.all(kappa >= 0) and abs(kappa.sum() - 1.0) <= 1e-12):
             raise GroupingError("kappa must be a probability vector")
         for coll, basis in zip(self.collections, self.bases):
             for q in coll:

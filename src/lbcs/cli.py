@@ -25,10 +25,10 @@ from .baselines import (GroupingError, GroupingScheme, SizeLimitError,
                         grouping_protocol, l1_exact_variance, l1_protocol)
 from .hamiltonian import (HamiltonianFormatError, ObservableSum, l1_norm,
                           load_observable)
-from .optimizer import OptimizeResult, OptimizerConfig, optimize
+from .optimizer import OptimizerConfig, optimize
 from .pauli import PauliError
-from .shadows import (BetaDistribution, DivergenceError, EstimateReport,
-                      exact_variance, run_protocol, uniform_beta)
+from .shadows import (BetaDistribution, DivergenceError, exact_variance,
+                      run_protocol, uniform_beta)
 from .states import (ConvergenceError, SingleReference, StateError,
                      StateVector, apply_observable_raw, lanczos_ground,
                      load_reference)
@@ -86,7 +86,7 @@ def _load_beta(path, n) -> BetaDistribution:
 # -- subcommands ----------------------------------------------------------
 
 def cmd_ground(args) -> int:
-    h = load_observable(args.hamiltonian, qubits=args.qubits)
+    h = load_observable(args.hamiltonian)
     energy, state = lanczos_ground(h, tolerance=args.tol,
                                    max_iterations=args.max_iter,
                                    seed=args.seed)
@@ -104,7 +104,7 @@ def cmd_ground(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    h = load_observable(args.hamiltonian, qubits=args.qubits)
+    h = load_observable(args.hamiltonian)
     reference = None
     if args.cost in ("full", "multiref"):
         if not args.reference:
@@ -112,20 +112,14 @@ def cmd_optimize(args) -> int:
                 f"--reference is required for the {args.cost} cost")
         reference = load_reference(args.reference)
     config = OptimizerConfig(step=args.delta, tolerance=args.tol,
-                             max_iterations=args.max_iter, floor=args.floor,
-                             init=args.init, seed=args.seed)
+                             max_iterations=args.max_iter)
     result = optimize(h, args.cost, config, reference=reference)
     result.beta.save(args.out)
     payload = result.to_dict()
     payload["manifest"] = _manifest(
         "optimize", [args.hamiltonian, args.reference], seed=args.seed,
         config={"cost": args.cost, "delta": args.delta, "tol": args.tol,
-                "max_iter": args.max_iter, "floor": args.floor,
-                "init": args.init})
-    if args.result_out:
-        with open(args.result_out, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+                "max_iter": args.max_iter})
     print(json.dumps(payload, indent=1))
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
@@ -171,7 +165,7 @@ def _emit_rows(rows, header, args, manifest):
 
 
 def cmd_variance(args) -> int:
-    h = load_observable(args.hamiltonian, qubits=args.qubits)
+    h = load_observable(args.hamiltonian)
     state, _ = _resolve_state(h, args.state, args.tol, args.max_iter,
                               args.seed)
     beta = _load_beta(args.beta, h.n) if args.beta else None
@@ -186,7 +180,7 @@ def cmd_variance(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    h = load_observable(args.hamiltonian, qubits=args.qubits)
+    h = load_observable(args.hamiltonian)
     state, _ = _resolve_state(h, args.state, args.tol, args.max_iter,
                               args.seed)
     if args.estimator == "l1":
@@ -216,7 +210,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_group(args) -> int:
-    h = load_observable(args.hamiltonian, qubits=args.qubits)
+    h = load_observable(args.hamiltonian)
     graph = build_term_graph(h)
     scheme = grouping_from_graph(h, graph)
     if args.out:
@@ -237,7 +231,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    h = load_observable(args.hamiltonian, qubits=args.qubits)
+    h = load_observable(args.hamiltonian)
     reference = load_reference(args.reference) if args.reference else \
         SingleReference.from_bits(args.bits)
     if not isinstance(reference, SingleReference):
@@ -247,8 +241,7 @@ def cmd_compare(args) -> int:
                                    max_iterations=args.max_iter,
                                    seed=args.seed)
     scheme = build_grouping(h)
-    config = OptimizerConfig(step=args.delta, tolerance=args.opt_tol,
-                             max_iterations=args.opt_max_iter)
+    config = OptimizerConfig(step=args.delta)
     full = optimize(h, "full", config, reference=reference)
     diag = optimize(h, "diag", config)
     rows = [
@@ -279,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed=True):
         p.add_argument("--hamiltonian", required=True)
-        p.add_argument("--qubits", type=int, default=None,
-                       help="pad shorter Pauli strings with I up to this")
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -301,10 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10_000)
-    p.add_argument("--floor", type=float, default=1e-9)
-    p.add_argument("--init", choices=["uniform", "random"], default="uniform")
     p.add_argument("--out", required=True, help="output beta JSON")
-    p.add_argument("--result-out", default=None)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("variance", help="exact single-shot variance table")
@@ -347,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--opt-tol", type=float, default=1e-10)
-    p.add_argument("--opt-max-iter", type=int, default=10_000)
     p.add_argument("--output", choices=["json", "csv"], default="json")
     p.add_argument("--full-precision", action="store_true")
     p.set_defaults(func=cmd_compare)

@@ -66,13 +66,10 @@ class ObservableSum:
         )
 
 
-def parse_observable(text: str, qubits: int | None = None) -> ObservableSum:
+def parse_observable(text: str) -> ObservableSum:
     """Parse the text format; duplicate strings are summed, zeros dropped.
-
-    With ``qubits`` given, shorter strings are right-padded with I;
-    otherwise every string must have the same length as the first.
-    """
-    n = qubits
+    Every string must have the same length as the first."""
+    n = None
     acc: dict[PauliString, float] = {}
     identity = 0.0
     seen_any = False
@@ -98,13 +95,12 @@ def parse_observable(text: str, qubits: int | None = None) -> ObservableSum:
         if n > MAX_QUBITS:
             raise HamiltonianFormatError(
                 f"{n} qubits exceed the limit of {MAX_QUBITS}", lineno)
-        if len(pauli_text) > n or (qubits is None and len(pauli_text) != n):
+        if len(pauli_text) != n:
             raise HamiltonianFormatError(
                 f"string {pauli_text!r} has length {len(pauli_text)}, "
                 f"expected {n}", lineno)
-        padded = pauli_text + "I" * (n - len(pauli_text))
         try:
-            q = PauliString.from_text(padded)
+            q = PauliString.from_text(pauli_text)
         except ValueError as exc:
             raise HamiltonianFormatError(str(exc), lineno) from None
         seen_any = True
@@ -118,9 +114,9 @@ def parse_observable(text: str, qubits: int | None = None) -> ObservableSum:
     return ObservableSum(n, terms, identity)
 
 
-def load_observable(path, qubits=None) -> ObservableSum:
+def load_observable(path) -> ObservableSum:
     with open(path) as fh:
-        return parse_observable(fh.read(), qubits=qubits)
+        return parse_observable(fh.read())
 
 
 def serialize_observable(h: ObservableSum) -> str:

@@ -27,9 +27,10 @@ import numpy as np
 
 from .hamiltonian import ObservableSum
 from .shadows import (BetaDistribution, PairTable, SecondMoment, _TermData,
-                      compatible_pairs, divergent_positions, make_rng,
-                      reciprocal, uniform_beta)
+                      divergent_positions, reciprocal, uniform_beta)
 from .states import MultiReference, SingleReference
+
+FLOOR = 1e-9   # lowest beta entry an update keeps; below 10x it ends at 0
 
 
 class DivergenceWarning(UserWarning):
@@ -42,17 +43,12 @@ class OptimizerConfig:
     step: float = 0.5
     tolerance: float = 1e-10
     max_iterations: int = 10_000
-    floor: float = 1e-9
-    init: str = "uniform"       # "uniform" or "random"
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.step < 1.0:
             raise ValueError("step must lie in (0, 1)")
-        if self.floor < 0 or self.tolerance <= 0:
-            raise ValueError("floor must be >= 0 and tolerance > 0")
-        if self.init not in ("uniform", "random"):
-            raise ValueError(f"unknown init {self.init!r}")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be > 0")
 
 
 @dataclass(frozen=True)
@@ -100,17 +96,6 @@ def _evaluate(data: _TermData, moment: SecondMoment,
     return moment.value(reciprocal(beta))
 
 
-def influential_pairs(h: ObservableSum) -> list:
-    """All ordered traceless pairs (Q, R) with, per qubit, equal labels
-    or an {I, Z} swap.  Includes the diagonal Q = R."""
-    data = _TermData(h)
-    a, j = compatible_pairs(data)
-    keep = data.x_masks[a] == data.x_masks[j]
-    pairs = [(data.strings[s], data.strings[t])
-             for s, t in zip(a[keep], j[keep])]
-    return pairs + [(r, q) for q, r in pairs if q != r]
-
-
 def cost_diag(h: ObservableSum, beta: BetaDistribution) -> float:
     """Convex diagonal cost: sum_Q alpha_Q^2 prod_supp 1/beta."""
     data = _TermData(h)
@@ -132,9 +117,14 @@ def cost_multiref(h: ObservableSum, ref: MultiReference,
     return _evaluate(data, _cost_moment(data, ref), beta)
 
 
-# -- public single-step updates ------------------------------------------
+# -- the Lagrange rows ---------------------------------------------------
 
 def _rows_from_num(num: np.ndarray, current: np.ndarray, floor: float):
+    """The closed-form rows num / (row sum), with (rows, row sums, count
+    of negative entries).  A qubit whose row sums to 0 keeps its
+    ``current`` row; entries below ``floor`` (negative numerators come
+    from sign-flipped cross terms) are raised to it and the row is
+    renormalized."""
     den = num.sum(axis=1)
     rows = current.copy()
     floored = 0
@@ -153,29 +143,6 @@ def _rows_from_num(num: np.ndarray, current: np.ndarray, floor: float):
             row = row / row.sum()
         rows[i] = row
     return rows, den, floored
-
-
-def lagrange_update_diag(h: ObservableSum, beta: BetaDistribution,
-                         floor: float = 0.0) -> BetaDistribution:
-    """One closed-form step for the diagonal cost; untouched qubits keep
-    their current row."""
-    return _lagrange_update(h, None, beta, floor)
-
-
-def lagrange_update_full(h: ObservableSum, ref: SingleReference,
-                         beta: BetaDistribution,
-                         floor: float = 0.0) -> BetaDistribution:
-    """One closed-form step for the influential-pair cost.  Negative
-    numerators (sign-flipped cross terms) are floored before the row is
-    renormalized."""
-    return _lagrange_update(h, ref, beta, floor)
-
-
-def _lagrange_update(h, reference, beta, floor):
-    moment = _cost_moment(_TermData(h), reference)
-    rows, _, _ = _rows_from_num(moment.numerators(reciprocal(beta)),
-                                beta.rows, floor)
-    return BetaDistribution(h.n, rows)
 
 
 # -- damped fixed-point iteration ----------------------------------------
@@ -200,21 +167,14 @@ def optimize(h: ObservableSum, cost_kind: str,
     data = _TermData(h)
     moment = _cost_moment(data, None if kind is None else reference)
 
-    if config.init == "uniform":
-        beta = uniform_beta(h.n)
-    else:
-        rng = make_rng(config.seed)
-        rows = rng.random((h.n, 3)) + config.floor
-        beta = BetaDistribution(h.n, rows / rows.sum(axis=1, keepdims=True))
-
+    beta = uniform_beta(h.n)
     floored_total = 0
     converged = False
     iterations = 0
     untouched = ()
     for iterations in range(1, config.max_iterations + 1):
         num = moment.numerators(reciprocal(beta))
-        target, den, floored = _rows_from_num(num, beta.rows,
-                                              max(config.floor, 0.0))
+        target, den, floored = _rows_from_num(num, beta.rows, FLOOR)
         floored_total += floored
         untouched = tuple(int(i) for i in np.nonzero(den == 0.0)[0])
         new_rows = (1.0 - config.step) * beta.rows + config.step * target
@@ -227,7 +187,7 @@ def optimize(h: ObservableSum, cost_kind: str,
 
     # final cleanup: zero entries indistinguishable from the floor
     rows = beta.rows.copy()
-    rows[rows < 10.0 * config.floor] = 0.0
+    rows[rows < 10.0 * FLOOR] = 0.0
     sums = rows.sum(axis=1, keepdims=True)
     rows = np.where(sums > 0, rows / np.where(sums == 0, 1.0, sums),
                     beta.rows)

@@ -1,7 +1,8 @@
 """Exact algebra of n-qubit Pauli strings.
 
 Strings are stored as two n-bit integer masks (x-part, z-part) so that
-products, supports and commutation checks are word-parallel.  Qubit 1 of
+supports, basis agreement and the term tables' products and clash tests
+are word-parallel.  Qubit 1 of
 the text form (leftmost character) maps to the most significant bit of
 each mask, matching the big-endian basis-index convention used by the
 statevector engine.
@@ -10,7 +11,6 @@ statevector engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -118,38 +118,9 @@ class PauliString:
         return self.support_mask == (1 << self.n) - 1
 
 
-@dataclass(frozen=True)
-class PhasedPauli:
-    """i**phase_exponent times a Pauli string."""
-
-    phase_exponent: int  # mod 4
-    string: PauliString
-
-    def phase(self) -> complex:
-        return 1j ** self.phase_exponent
-
-
 def _check_same_n(p: PauliString, q: PauliString):
     if p.n != q.n:
         raise PauliError(f"qubit count mismatch: {p.n} vs {q.n}")
-
-
-def product(p: PauliString, q: PauliString) -> PhasedPauli:
-    """Matrix product P.Q = i^k S, computed qubit-wise via masks.
-
-    Writing each single-qubit Pauli as i^(x&z) X^x Z^z, the phase
-    exponent accumulates popcounts only; no per-qubit loop is needed.
-    """
-    _check_same_n(p, q)
-    x3 = p.x_mask ^ q.x_mask
-    z3 = p.z_mask ^ q.z_mask
-    k = (
-        (p.x_mask & p.z_mask).bit_count()
-        + (q.x_mask & q.z_mask).bit_count()
-        + 2 * (p.z_mask & q.x_mask).bit_count()
-        - (x3 & z3).bit_count()
-    ) % 4
-    return PhasedPauli(k, PauliString(p.n, x3, z3))
 
 
 def label_codes(x_masks: np.ndarray, z_masks: np.ndarray,
@@ -162,22 +133,6 @@ def label_codes(x_masks: np.ndarray, z_masks: np.ndarray,
                          (z_masks[:, None] >> shift) & one]
 
 
-def support(q: PauliString) -> set:
-    return q.support()
-
-
-def weight(q: PauliString) -> int:
-    return q.weight()
-
-
-def qubitwise_commute(q: PauliString, r: PauliString) -> bool:
-    """True iff on every qubit the labels are equal or one is identity."""
-    _check_same_n(q, r)
-    both = q.support_mask & r.support_mask
-    differ = (q.x_mask ^ r.x_mask) | (q.z_mask ^ r.z_mask)
-    return both & differ == 0
-
-
 def agrees_with_basis(q: PauliString, p: PauliString) -> bool:
     """True iff Q_i in {I, P_i} for every qubit; P must be full-weight."""
     _check_same_n(q, p)
@@ -185,40 +140,3 @@ def agrees_with_basis(q: PauliString, p: PauliString) -> bool:
         raise PauliError("basis operator must be full-weight")
     differ = (q.x_mask ^ p.x_mask) | (q.z_mask ^ p.z_mask)
     return differ & q.support_mask == 0
-
-
-def f_factor(p: PauliString, q: PauliString, beta) -> float:
-    """Product over qubits of the inverse-probability weight f_i.
-
-    f_i = 1 where either label is I, 1/beta_i(P_i) where the non-I
-    labels match, 0 otherwise.  A vanishing beta entry at a matched
-    position yields factor 0 (the reciprocal-as-zero convention).
-    """
-    _check_same_n(p, q)
-    rows = beta.rows
-    out = 1.0
-    for i in range(p.n):
-        a, b = p.label(i), q.label(i)
-        if a == I or b == I:
-            continue
-        if a != b:
-            return 0.0
-        prob = rows[i, a - 1]
-        if prob <= 0.0:
-            return 0.0
-        out *= 1.0 / prob
-    return out
-
-
-# Dense 2x2 matrices, used by oracles and the statevector engine.
-PAULI_MATRICES = {
-    I: np.eye(2, dtype=complex),
-    X: np.array([[0, 1], [1, 0]], dtype=complex),
-    Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    Z: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def dense_matrix(p: PauliString) -> np.ndarray:
-    """2^n x 2^n dense matrix; for small-n oracles only."""
-    return reduce(np.kron, (PAULI_MATRICES[c] for c in p.labels()))

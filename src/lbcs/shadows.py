@@ -11,7 +11,9 @@ draws), so results are reproducible bit-for-bit.  ``run_protocol`` streams
 shots in chunks of bounded size: it reads each chunk's uniforms at their
 place in that order, draws every shot's outcome qubit by qubit from the
 basis-rotated amplitudes (``sample_outcome_indices``), and evaluates the
-estimates with uint64 mask algebra over the terms.
+estimates with uint64 mask algebra over the terms.  Its differential
+reference, one ``measure_state`` and ``single_shot_estimate`` per shot,
+lives in ``tests/oracles.py``.
 
 Exact second moments have one engine.  A ``PairTable`` lists the
 qubit-wise compatible term pairs with their product strings, matched
@@ -32,12 +34,16 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .hamiltonian import ObservableSum
-from .pauli import (X, Y, Z, LABEL_CHARS, PauliError, PauliString, f_factor,
-                    label_codes)
+from .pauli import X, Y, Z, LABEL_CHARS, PauliError, label_codes
 from .states import (BASIS_ROTATIONS, MultiReference, SingleReference,
-                     StateVector, born_probabilities)
+                     StateVector)
 
 ZERO_PROBABILITY = 1e-12  # beta entries below this count as exact zeros
+PAIR_LIMIT = 1 << 26      # term pairs of one clash matrix (T^2 booleans)
+
+
+class SizeLimitError(RuntimeError):
+    """An input whose tables would exceed a fixed size limit."""
 
 
 class DivergenceError(ValueError):
@@ -62,6 +68,8 @@ class BetaDistribution:
         rows = np.asarray(self.rows, dtype=float)
         if rows.shape != (self.n, 3):
             raise ValueError(f"expected shape ({self.n}, 3), got {rows.shape}")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("beta entries must be finite")
         if np.any(rows < 0):
             raise ValueError("beta entries must be nonnegative")
         bad = np.abs(rows.sum(axis=1) - 1.0) > 1e-12
@@ -81,7 +89,14 @@ class BetaDistribution:
 
     @classmethod
     def from_dict(cls, data) -> "BetaDistribution":
-        return cls(int(data["n"]), np.asarray(data["rows"], dtype=float))
+        if not isinstance(data, dict):
+            raise ValueError("beta must be a JSON object")
+        try:
+            return cls(int(data["n"]), np.asarray(data["rows"], dtype=float))
+        except KeyError as exc:
+            raise ValueError(f"beta has no {exc} key") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed beta: {exc}") from None
 
     @classmethod
     def load(cls, path) -> "BetaDistribution":
@@ -99,18 +114,6 @@ def uniform_beta(n: int) -> BetaDistribution:
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    basis: PauliString          # full-weight
-    outcomes: tuple             # n values of +-1
-
-    def __post_init__(self):
-        if not self.basis.is_full_weight():
-            raise PauliError("measurement basis must be full-weight")
-        if len(self.outcomes) != self.basis.n:
-            raise ValueError("one outcome per qubit required")
-
-
-@dataclass(frozen=True)
 class EstimateReport:
     mean: float
     variance: float             # single-shot sample variance
@@ -119,9 +122,6 @@ class EstimateReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -142,43 +142,10 @@ def sample_basis_labels(beta: BetaDistribution, shots: int,
     return labels
 
 
-def sample_basis(beta: BetaDistribution,
-                 rng: np.random.Generator) -> PauliString:
-    return PauliString.from_labels(sample_basis_labels(beta, 1, rng)[0])
-
-
 def sample_outcomes(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum = np.cumsum(probs)
     cum[-1] = 1.0
     return np.searchsorted(cum, u, side="right")
-
-
-def measure_state(v: StateVector, basis: PauliString,
-                  rng: np.random.Generator) -> MeasurementRecord:
-    """One projective measurement of every qubit in the given bases."""
-    if v.n != basis.n:
-        raise PauliError(f"qubit count mismatch: {v.n} vs {basis.n}")
-    probs = born_probabilities(v, basis)
-    idx = int(sample_outcomes(probs, rng.random(1))[0])
-    outcomes = tuple(
-        1 - 2 * ((idx >> (v.n - 1 - i)) & 1) for i in range(v.n))
-    return MeasurementRecord(basis, outcomes)
-
-
-def single_shot_estimate(h: ObservableSum, record: MeasurementRecord,
-                         beta: BetaDistribution) -> float:
-    if h.n != record.basis.n:
-        raise PauliError("qubit count mismatch between H and record")
-    total = h.identity_coefficient
-    for q, a in h.terms.items():
-        f = f_factor(record.basis, q, beta)
-        if f == 0.0:
-            continue
-        mu = 1
-        for i in q.support():
-            mu *= record.outcomes[i]
-        total += a * f * mu
-    return total
 
 
 # -- bulk term data ------------------------------------------------------
@@ -217,11 +184,6 @@ def _check_divergence(data: _TermData, beta: BetaDistribution):
     bad = divergent_positions(data, beta)
     if bad.size:
         raise DivergenceError(int(bad[0, 0]), int(bad[0, 1]) + 1)
-
-
-def check_divergence(h: ObservableSum, beta: BetaDistribution):
-    """Raise unless beta is positive wherever a traceless term needs it."""
-    _check_divergence(_TermData(h), beta)
 
 
 def reciprocal(beta: BetaDistribution) -> np.ndarray:
@@ -352,10 +314,11 @@ def run_protocol(h: ObservableSum, v: StateVector, beta: BetaDistribution,
     uniforms, then all ``shots`` outcome uniforms; each chunk reads its
     share of both at their place in that order.
 
-    Each shot's estimate equals the per-shot path ``measure_state`` +
-    ``single_shot_estimate`` on the same uniforms, up to rounding.  The
-    one exception is a uniform within rounding of a CDF boundary, which
-    may in principle take the other outcome.  Mean and variance come from
+    Each shot's estimate equals the per-shot reference path of
+    ``tests/oracles.py`` (``measure_state`` + ``single_shot_estimate``)
+    on the same uniforms, up to rounding.  The one exception is a uniform
+    within rounding of a CDF boundary, which may in principle take the
+    other outcome.  Mean and variance come from
     sums of the estimates less the identity coefficient, added left to
     right, so the report does not depend on the chunk size.
     """
@@ -394,7 +357,12 @@ _PAIR_BLOCK = 1 << 18   # term pairs compared at once
 def clash_matrix(data: _TermData) -> np.ndarray:
     """(count, count) booleans, True where two terms are not qubit-wise
     compatible: some qubit carries two different non-identity labels.
-    Built about ``_PAIR_BLOCK`` term pairs at a time."""
+    Built about ``_PAIR_BLOCK`` term pairs at a time; above ``PAIR_LIMIT``
+    entries it raises SizeLimitError before allocating."""
+    if data.count ** 2 > PAIR_LIMIT:
+        raise SizeLimitError(
+            f"{data.count} terms make {data.count ** 2} term pairs, above "
+            f"the limit of {PAIR_LIMIT}")
     clash = np.empty((data.count, data.count), dtype=bool)
     rows = max(1, _PAIR_BLOCK // max(data.count, 1))
     for start in range(0, data.count, rows):

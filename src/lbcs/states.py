@@ -15,8 +15,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .hamiltonian import ObservableSum
-from .pauli import (I, X, Y, Z, PauliError, PauliString, product,
-                    qubitwise_commute)
+from .pauli import I, X, Y, Z, PauliError, PauliString
 
 _NORM_TOL = 1e-10
 
@@ -44,6 +43,8 @@ class StateVector:
             raise StateError(
                 f"expected {1 << self.n} amplitudes, got {amps.shape}")
         norm = np.linalg.norm(amps)
+        if not np.isfinite(norm):    # a NaN or infinite amplitude
+            raise StateError("amplitudes must be finite")
         if abs(norm - 1.0) > _NORM_TOL:
             raise StateError(f"state not normalized: |v| = {norm!r}")
         object.__setattr__(self, "amplitudes", amps)
@@ -108,16 +109,14 @@ class MultiReference:
         if len(set(self.bitstrings)) != len(self.bitstrings):
             raise StateError("bitstrings must be pairwise distinct")
         total = sum(abs(a) ** 2 for a in self.amplitudes)
+        if not np.isfinite(total):
+            raise StateError("amplitudes must be finite")
         if abs(total - 1.0) > _NORM_TOL:
             raise StateError(f"amplitudes not normalized: sum |l|^2 = {total!r}")
 
     @property
     def n(self) -> int:
         return len(self.bitstrings[0])
-
-    @property
-    def k_components(self) -> int:
-        return len(self.bitstrings)
 
     def to_statevector(self) -> StateVector:
         amps = np.zeros(1 << self.n, dtype=complex)
@@ -141,14 +140,21 @@ def load_reference(path):
 
 
 def reference_from_dict(data):
+    if not isinstance(data, dict):
+        raise StateError("reference must be a JSON object")
     kind = data.get("type")
-    if kind == "single":
-        return SingleReference.from_bits(data["bits"])
-    if kind == "multi":
-        bits = tuple(c["bits"] for c in data["components"])
-        amps = tuple(complex(c["amplitude"][0], c["amplitude"][1])
-                     for c in data["components"])
-        return MultiReference(bits, amps)
+    try:
+        if kind == "single":
+            return SingleReference.from_bits(data["bits"])
+        if kind == "multi":
+            bits = tuple(c["bits"] for c in data["components"])
+            amps = tuple(complex(c["amplitude"][0], c["amplitude"][1])
+                         for c in data["components"])
+            return MultiReference(bits, amps)
+    except KeyError as exc:
+        raise StateError(f"{kind} reference has no {exc} key") from None
+    except (IndexError, TypeError) as exc:
+        raise StateError(f"malformed {kind} reference: {exc}") from None
     raise StateError(f"unknown reference type {kind!r}")
 
 
@@ -156,12 +162,6 @@ def reference_from_dict(data):
 
 def _popcount(arr):
     return np.bitwise_count(arr)
-
-
-def apply_pauli(p: PauliString, v: StateVector) -> StateVector | np.ndarray:
-    if p.n != v.n:
-        raise PauliError(f"qubit count mismatch: {p.n} vs {v.n}")
-    return StateVector(v.n, apply_pauli_raw(p, v.amplitudes))
 
 
 def apply_pauli_raw(p: PauliString, amps: np.ndarray) -> np.ndarray:
@@ -175,13 +175,6 @@ def apply_pauli_raw(p: PauliString, amps: np.ndarray) -> np.ndarray:
     return phase * signs * amps[src]
 
 
-def apply_observable(h: ObservableSum, v: StateVector) -> np.ndarray:
-    """H|v> as a raw (generally unnormalized) amplitude array."""
-    if h.n != v.n:
-        raise PauliError(f"qubit count mismatch: {h.n} vs {v.n}")
-    return apply_observable_raw(h, v.amplitudes)
-
-
 def apply_observable_raw(h: ObservableSum, amps: np.ndarray) -> np.ndarray:
     out = h.identity_coefficient * amps
     for q, a in h.terms.items():
@@ -191,25 +184,6 @@ def apply_observable_raw(h: ObservableSum, amps: np.ndarray) -> np.ndarray:
 
 # -- expectations --------------------------------------------------------
 
-_IMAG_TOL = 1e-10
-
-
-def expectation(v: StateVector, q: PauliString) -> float:
-    """<v|Q|v>; a residual imaginary part above 1e-10 is a phase bug."""
-    val = np.vdot(v.amplitudes, apply_pauli_raw(q, v.amplitudes))
-    if abs(val.imag) > _IMAG_TOL:
-        raise StateError(f"expectation has imaginary residue {val.imag!r}")
-    return float(val.real)
-
-
-def pair_expectation(v: StateVector, q: PauliString, r: PauliString) -> float:
-    """Re(i^k <v|S|v>) with (k, S) = product(Q, R)."""
-    phased = product(q, r)
-    val = phased.phase() * np.vdot(
-        v.amplitudes, apply_pauli_raw(phased.string, v.amplitudes))
-    return float(val.real)
-
-
 def observable_expectation(h: ObservableSum, v: StateVector) -> float:
     if h.n != v.n:
         raise PauliError(f"qubit count mismatch: {h.n} vs {v.n}")
@@ -217,30 +191,6 @@ def observable_expectation(h: ObservableSum, v: StateVector) -> float:
     z = np.array([q.z_mask for q in h.terms], dtype=np.uint64)
     coeffs = np.array(list(h.terms.values()), dtype=float)
     return h.identity_coefficient + float(coeffs @ v.pauli_traces(x, z))
-
-
-def reference_expectation(ref: SingleReference, q: PauliString,
-                          r: PauliString) -> float:
-    """tr(rho_HF Q R), valid on qubit-wise agreeing pairs (0 on others)."""
-    return _agreeing_pair_trace(ref, q, r).real
-
-
-def multireference_density_expectation(ref: MultiReference, q: PauliString,
-                                       r: PauliString) -> complex:
-    """<psi| Q R |psi>, valid on qubit-wise agreeing pairs (0 on others)."""
-    return _agreeing_pair_trace(ref, q, r)
-
-
-def _agreeing_pair_trace(ref, q: PauliString, r: PauliString) -> complex:
-    # an agreeing pair multiplies to the string of the XOR-ed masks,
-    # with phase 1
-    if q.n != ref.n or r.n != ref.n:
-        raise PauliError("qubit count mismatch with reference state")
-    if not qubitwise_commute(q, r):
-        return 0j
-    x = np.array([q.x_mask ^ r.x_mask], dtype=np.uint64)
-    z = np.array([q.z_mask ^ r.z_mask], dtype=np.uint64)
-    return complex(ref.pauli_traces(x, z)[0])
 
 
 # -- trace oracles of the state kinds ------------------------------------

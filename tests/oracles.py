@@ -2,13 +2,22 @@
 
 Everything here is built from dense matrices and exhaustive enumeration,
 deliberately avoiding the library's bitmask fast paths, so oracle and
-implementation can disagree when one of them is wrong.
+implementation can disagree when one of them is wrong.  The reference
+samplers at the end are the differential references of the streamed
+ones: they read the same uniforms, all shots at once, and the per-shot
+path (``measure_state`` + ``single_shot_estimate``) one shot at a time.
 """
 
 import itertools
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+
+from lbcs import BetaDistribution, ObservableSum, StateVector
+from lbcs.pauli import I, PauliError, PauliString, _check_same_n
+from lbcs.shadows import sample_basis_labels, sample_outcomes
+from lbcs.states import born_probabilities
 
 I2 = np.eye(2, dtype=complex)
 SIGMA = {
@@ -227,6 +236,12 @@ def random_signs(rng, n):
     return tuple(int(s) for s in rng.choice([1, -1], size=n))
 
 
+def masks(strings):
+    """uint64 (x, z) mask arrays of the Pauli strings, for ``pauli_traces``."""
+    return (np.array([q.x_mask for q in strings], dtype=np.uint64),
+            np.array([q.z_mask for q in strings], dtype=np.uint64))
+
+
 # -- reference samplers ---------------------------------------------------
 
 def _sample_index(probs, u):
@@ -246,13 +261,13 @@ def l1_reference(h, v, shots, seed):
     """The l1 sampler holding all shots at once: draw every term index from
     gamma (terms in the Pauli total order), then every sign uniform; a
     shot's sign is +1 with probability (1 + <v|P|v>) / 2."""
-    from lbcs import expectation, gamma_distribution, l1_norm
+    from lbcs import gamma_distribution, l1_norm
 
     gamma = gamma_distribution(h)
     terms = sorted(gamma)
     probs = np.array([gamma[q] for q in terms])
     signs = np.array([np.sign(h.terms[q]) for q in terms])
-    means = np.array([expectation(v, q) for q in terms])
+    means = v.pauli_traces(*masks(terms))
     rng = np.random.Generator(np.random.Philox(key=seed))
     which = _sample_index(probs, rng.random(shots))
     u = rng.random(shots)
@@ -267,8 +282,6 @@ def grouping_reference(h, scheme, v, shots, seed):
     collection k inverts the Born CDF of its basis and sums
     alpha_q / kappa_k * (-1)^parity(outcome & supp q) over the members,
     through a (shots_k x terms_k) sign matrix."""
-    from lbcs.states import born_probabilities
-
     rng = np.random.Generator(np.random.Philox(key=seed))
     which = _sample_index(scheme.kappa.copy(), rng.random(shots))
     u = rng.random(shots)
@@ -286,3 +299,73 @@ def grouping_reference(h, scheme, v, shots, seed):
         signs = 1.0 - 2.0 * (np.bitwise_count(outcomes[:, None] & masks) & 1)
         estimates[sel] = h.identity_coefficient + signs @ weights
     return _report(estimates, shots, seed)
+
+
+# -- per-shot reference path ----------------------------------------------
+
+@dataclass(frozen=True)
+class MeasurementRecord:
+    basis: PauliString          # full-weight
+    outcomes: tuple             # n values of +-1
+
+    def __post_init__(self):
+        if not self.basis.is_full_weight():
+            raise PauliError("measurement basis must be full-weight")
+        if len(self.outcomes) != self.basis.n:
+            raise ValueError("one outcome per qubit required")
+
+
+def sample_basis(beta: BetaDistribution,
+                 rng: np.random.Generator) -> PauliString:
+    return PauliString.from_labels(sample_basis_labels(beta, 1, rng)[0])
+
+
+def measure_state(v: StateVector, basis: PauliString,
+                  rng: np.random.Generator) -> MeasurementRecord:
+    """One projective measurement of every qubit in the given bases."""
+    if v.n != basis.n:
+        raise PauliError(f"qubit count mismatch: {v.n} vs {basis.n}")
+    probs = born_probabilities(v, basis)
+    idx = int(sample_outcomes(probs, rng.random(1))[0])
+    outcomes = tuple(
+        1 - 2 * ((idx >> (v.n - 1 - i)) & 1) for i in range(v.n))
+    return MeasurementRecord(basis, outcomes)
+
+
+def single_shot_estimate(h: ObservableSum, record: MeasurementRecord,
+                         beta: BetaDistribution) -> float:
+    if h.n != record.basis.n:
+        raise PauliError("qubit count mismatch between H and record")
+    total = h.identity_coefficient
+    for q, a in h.terms.items():
+        f = f_factor(record.basis, q, beta)
+        if f == 0.0:
+            continue
+        mu = 1
+        for i in q.support():
+            mu *= record.outcomes[i]
+        total += a * f * mu
+    return total
+
+
+def f_factor(p: PauliString, q: PauliString, beta) -> float:
+    """Product over qubits of the inverse-probability weight f_i.
+
+    f_i = 1 where either label is I, 1/beta_i(P_i) where the non-I
+    labels match, 0 otherwise.  A vanishing beta entry at a matched
+    position yields factor 0 (the reciprocal-as-zero convention).
+    """
+    _check_same_n(p, q)
+    rows = beta.rows
+    out = 1.0
+    for i in range(p.n):
+        a, b = p.label(i), q.label(i)
+        if a == I or b == I:
+            continue
+        if a != b:
+            return 0.0
+        prob = rows[i, a - 1]
+        if prob <= 0.0:
+            return 0.0
+        out *= 1.0 / prob
+    return out

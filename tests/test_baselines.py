@@ -121,7 +121,7 @@ class TestL1:
         assert l1_exact_variance(h, ZERO) == pytest.approx(3.0)
 
     def test_exact_variance_identity_excluded(self):
-        h = parse_observable("5.0 I\n1.0 Z\n", qubits=1)
+        h = parse_observable("5.0 I\n1.0 Z\n")
         assert l1_exact_variance(h, ZERO) == pytest.approx(0.0)
 
     def test_matches_enumeration_oracle(self, rng):

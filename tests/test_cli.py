@@ -1,9 +1,12 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lbcs.cli import main
+from lbcs.cli import build_parser, main
 from lbcs.shadows import BetaDistribution
 
 
@@ -211,6 +214,7 @@ class TestCompare:
 H3 = "1.0 XX\n0.5 ZZ\n0.3 ZI\n"     # E0 = -1.5440
 H70 = "1.0 " + "Z" * 70 + "\n"       # more qubits than a uint64 mask holds
 
+NAN = float("nan")
 # name -> (scheme JSON, a fragment the error line must contain)
 BAD_SCHEMES = {
     "only-XX": ({"collections": [["XX"]], "bases": ["XX"], "kappa": [1.0]},
@@ -233,6 +237,9 @@ BAD_SCHEMES = {
     "kappa-sum": ({"collections": [["XX"], ["ZZ", "ZI"]],
                    "bases": ["XX", "ZZ"], "kappa": [0.5, 0.4]},
                   "probability vector"),
+    "kappa-nan": ({"collections": [["XX"], ["ZZ", "ZI"]],
+                   "bases": ["XX", "ZZ"], "kappa": [NAN, 1.0]},
+                  "probability vector"),
     "wrong-basis": ({"collections": [["XX"], ["ZZ", "ZI"]],
                      "bases": ["XZ", "ZZ"], "kappa": [0.5, 0.5]},
                     "does not agree"),
@@ -247,28 +254,79 @@ SCHEME_COMMANDS = {
     "variance": ["variance", "--estimator", "ldf"],
     "simulate": ["simulate", "--estimator", "ldf", "--shots", "100"],
 }
-# (argv after --hamiltonian, Hamiltonian text, scheme JSON or None, fragment)
+# name -> (beta JSON, fragment)
+BAD_BETAS = {
+    "beta-empty": ({}, "no 'n' key"),
+    "beta-list": ([1], "JSON object"),
+    "beta-no-rows": ({"n": 2}, "no 'rows' key"),
+    "beta-nan": ({"n": 2, "rows": [[NAN, 0.5, 0.5], [0.5, 0.0, 0.5]]},
+                 "finite"),
+}
+BETA_COMMANDS = {
+    "variance": ["variance", "--estimator", "lbcs"],
+    "simulate": ["simulate", "--estimator", "lbcs", "--shots", "10"],
+}
+# name -> (reference JSON, fragment)
+BAD_REFERENCES = {
+    "ref-single-no-bits": ({"type": "single"}, "no 'bits' key"),
+    "ref-list": ([1], "JSON object"),
+    "ref-short-amplitude": ({"type": "multi", "components": [
+        {"bits": "00", "amplitude": [1]}]}, "malformed multi reference"),
+    "ref-no-amplitude": ({"type": "multi", "components": [{"bits": "00"}]},
+                         "no 'amplitude' key"),
+    "ref-nan": ({"type": "multi", "components": [
+        {"bits": "00", "amplitude": [NAN, 0.0]},
+        {"bits": "11", "amplitude": [1.0, 0.0]}]}, "finite"),
+}
+REFERENCE_COMMANDS = {
+    "optimize": ["optimize", "--cost", "multiref", "--out", "{tmp}/b.json"],
+    "compare": ["compare"],
+}
+STATE_COMMANDS = {
+    "variance": ["variance", "--estimator", "l1,shadows"],
+    "simulate": ["simulate", "--estimator", "shadows", "--shots", "10"],
+}
+# (argv after --hamiltonian, Hamiltonian text, {file name: JSON or .npy
+# content} written next to it, fragment); "{tmp}" in argv is that folder
 ERROR_CASES = [
-    pytest.param(argv, H3, scheme, fragment, id=f"{command}-{name}")
+    pytest.param(argv + ["--scheme", "{tmp}/scheme.json"], H3,
+                 {"scheme.json": scheme}, fragment, id=f"{command}-{name}")
     for name, (scheme, fragment) in BAD_SCHEMES.items()
     for command, argv in SCHEME_COMMANDS.items()
 ] + [
+    pytest.param(argv + ["--beta", "{tmp}/beta.json"], H3,
+                 {"beta.json": beta}, fragment, id=f"{command}-{name}")
+    for name, (beta, fragment) in BAD_BETAS.items()
+    for command, argv in BETA_COMMANDS.items()
+] + [
+    pytest.param(argv + ["--reference", "{tmp}/ref.json"], H3,
+                 {"ref.json": ref}, fragment, id=f"{command}-{name}")
+    for name, (ref, fragment) in BAD_REFERENCES.items()
+    for command, argv in REFERENCE_COMMANDS.items()
+] + [
+    pytest.param(argv + ["--state", "{tmp}/v.npy"], H3,
+                 {"v.npy": np.array([NAN, 1.0, 0.0, 0.0], dtype=complex)},
+                 "finite", id=f"{command}-state-nan")
+    for command, argv in STATE_COMMANDS.items()
+] + [
     pytest.param(["optimize", "--cost", "diag", "--out", "{tmp}/beta.json"],
-                 H70, None, "70 qubits", id="optimize-70-qubits"),
-    pytest.param(["group"], H70, None, "70 qubits", id="group-70-qubits"),
+                 H70, {}, "70 qubits", id="optimize-70-qubits"),
+    pytest.param(["group"], H70, {}, "70 qubits", id="group-70-qubits"),
 ]
 
 
-@pytest.mark.parametrize("argv,hamiltonian,scheme,fragment", ERROR_CASES)
+@pytest.mark.parametrize("argv,hamiltonian,files,fragment", ERROR_CASES)
 def test_malformed_input_exits_1_with_one_error_line(
-        capsys, tmp_path, argv, hamiltonian, scheme, fragment):
+        capsys, tmp_path, argv, hamiltonian, files, fragment):
     path = tmp_path / "h.txt"
     path.write_text(hamiltonian)
+    for name, content in files.items():
+        if name.endswith(".npy"):
+            np.save(tmp_path / name, content)
+        else:
+            (tmp_path / name).write_text(json.dumps(content))
     argv = [a.format(tmp=tmp_path) for a in argv]
     argv[1:1] = ["--hamiltonian", str(path)]
-    if scheme is not None:
-        (tmp_path / "scheme.json").write_text(json.dumps(scheme))
-        argv += ["--scheme", str(tmp_path / "scheme.json")]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
@@ -292,3 +350,14 @@ def test_partitioning_scheme_accepted(capsys, tmp_path):
     assert code == 0
     # the exact single-shot variance is 0.3749
     assert json.loads(out)["mean"] == pytest.approx(-1.5440, abs=0.03)
+
+
+def test_every_option_is_documented():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for p in commands.values() for a in p._actions
+               for opt in a.option_strings if opt not in ("-h", "--help")}
+    missing = [opt for opt in sorted(options)
+               if not re.search(re.escape(opt) + r"(?![\w-])", readme)]
+    assert missing == []

@@ -41,10 +41,6 @@ class TestParsing:
         h = parse_observable("-1.25e-3 Y\n")
         assert h.terms[P("Y")] == pytest.approx(-1.25e-3)
 
-    def test_qubit_padding(self):
-        h = parse_observable("1.0 X\n1.0 ZZ\n", qubits=3)
-        assert h.terms == {P("XII"): 1.0, P("ZZI"): 1.0}
-
     @pytest.mark.parametrize("text,lineno", [
         ("1.0 X\nbogus\n", 2),
         ("oops X\n", 1),
@@ -67,7 +63,7 @@ class TestParsing:
         with pytest.raises(HamiltonianFormatError, match="65 qubits"):
             parse_observable("1.0 " + "Z" * 65 + "\n")
         with pytest.raises(HamiltonianFormatError, match="70 qubits"):
-            parse_observable("1.0 Z\n", qubits=70)
+            parse_observable("1.0 " + "Z" * 70 + "\n")
 
 
 class TestObservableSum:
@@ -108,7 +104,7 @@ class TestObservableSum:
                                                     for q, _ in want]
 
     def test_scaled(self):
-        h = parse_observable("1.0 II\n2.0 X\n", qubits=2)
+        h = parse_observable("1.0 II\n2.0 XI\n")
         g = h.scaled(-0.5)
         assert g.identity_coefficient == -0.5
         assert g.terms == {P("XI"): -1.0}

@@ -1,17 +1,38 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbcs import PauliString, product, qubitwise_commute, agrees_with_basis, f_factor
-from lbcs.pauli import I, X, Y, Z, PauliError, dense_matrix
-from lbcs.shadows import BetaDistribution, uniform_beta
+from lbcs import ObservableSum, PauliString, agrees_with_basis
+from lbcs.pauli import I, X, Y, Z, PauliError
+from lbcs.shadows import (BetaDistribution, PairTable, _TermData,
+                          clash_matrix, compatible_pairs, uniform_beta)
+from lbcs.states import apply_pauli_raw
 
 import oracles
+from oracles import f_factor
 
 
 def P(text):
     return PauliString.from_text(text)
+
+
+def qubitwise_commute(a, b):
+    """The complement of clash_matrix's entry for the strings a and b."""
+    x, z = oracles.masks([P(a), P(b)])
+    data = SimpleNamespace(count=2, x_masks=x, z_masks=z, supp_masks=x | z)
+    return not clash_matrix(data)[0, 1]
+
+
+def pair_table(*strings):
+    """Term data, compatible pairs and PairTable of H = sum of the strings
+    that are not the identity."""
+    terms = {q: 1.0 for q in strings if not q.is_identity()}
+    data = _TermData(ObservableSum(strings[0].n, terms))
+    a, j = compatible_pairs(data)
+    return data, a, j, PairTable(data, a, j)
 
 
 labels_strategy = st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=3)
@@ -73,6 +94,10 @@ class TestStructure:
 
 
 class TestProduct:
+    """P Q = i^k S: the single-qubit table through the matvec
+    ``apply_pauli_raw``, and PairTable's product of a compatible pair,
+    the string of the XOR-ed masks with phase 1."""
+
     @pytest.mark.parametrize("a,b,k,out", [
         ("X", "Y", 1, "Z"),   # XY = iZ
         ("Y", "X", 3, "Z"),   # YX = -iZ
@@ -82,32 +107,38 @@ class TestProduct:
         ("X", "I", 0, "X"),
     ])
     def test_single_qubit_table(self, a, b, k, out):
-        r = product(P(a), P(b))
-        assert (r.phase_exponent, r.string.to_text()) == (k, out)
-
-    def test_size_mismatch(self):
-        with pytest.raises(PauliError):
-            product(P("X"), P("XX"))
+        v = np.array([0.6, 0.8j])
+        lhs = apply_pauli_raw(P(a), apply_pauli_raw(P(b), v))
+        assert np.allclose(lhs, 1j ** k * apply_pauli_raw(P(out), v),
+                           atol=1e-15)
 
     @given(labels_strategy, labels_strategy)
     @settings(max_examples=150)
     def test_matches_dense_matrices(self, la, lb):
         n = min(len(la), len(lb))
         a, b = P(text_from(la[:n])), P(text_from(lb[:n]))
-        r = product(a, b)
-        lhs = oracles.dense_from_text(a.to_text()) @ oracles.dense_from_text(b.to_text())
-        rhs = r.phase() * oracles.dense_from_text(r.string.to_text())
-        assert np.allclose(lhs, rhs, atol=1e-12)
+        if a.is_identity() and b.is_identity():
+            return
+        data, s, t, table = pair_table(a, b)
+        for k in range(s.size):
+            lhs = (oracles.dense_from_text(data.strings[s[k]].to_text())
+                   @ oracles.dense_from_text(data.strings[t[k]].to_text()))
+            r = PauliString(n, int(table.x[k]), int(table.z[k]))
+            rhs = oracles.dense_from_text(r.to_text())
+            assert np.allclose(lhs, rhs, atol=1e-12)
 
     @given(labels_strategy)
     def test_self_product_is_identity(self, labels):
         q = P(text_from(labels))
-        r = product(q, q)
-        assert r.phase_exponent == 0
-        assert r.string.is_identity()
+        if q.is_identity():
+            return
+        _, _, _, table = pair_table(q)
+        assert (table.x.tolist(), table.z.tolist()) == ([0], [0])
 
 
 class TestQubitwiseCommute:
+    """Qubit-wise commutation is the complement of ``clash_matrix``."""
+
     @pytest.mark.parametrize("a,b,expected", [
         ("XX", "XI", True),
         ("XX", "YY", False),
@@ -116,14 +147,14 @@ class TestQubitwiseCommute:
         ("III", "XYZ", True),
     ])
     def test_examples(self, a, b, expected):
-        assert qubitwise_commute(P(a), P(b)) is expected
+        assert qubitwise_commute(a, b) is expected
 
     @given(labels_strategy, labels_strategy)
     @settings(max_examples=150)
     def test_matches_character_oracle(self, la, lb):
         n = min(len(la), len(lb))
         a, b = text_from(la[:n]), text_from(lb[:n])
-        assert qubitwise_commute(P(a), P(b)) == \
+        assert qubitwise_commute(a, b) == \
             oracles.strings_qubitwise_commute(a, b)
 
     @given(labels_strategy, labels_strategy)
@@ -131,7 +162,7 @@ class TestQubitwiseCommute:
     def test_implies_matrix_commutation(self, la, lb):
         n = min(len(la), len(lb))
         a, b = text_from(la[:n]), text_from(lb[:n])
-        if qubitwise_commute(P(a), P(b)):
+        if qubitwise_commute(a, b):
             ma = oracles.dense_from_text(a)
             mb = oracles.dense_from_text(b)
             assert np.allclose(ma @ mb, mb @ ma, atol=1e-12)

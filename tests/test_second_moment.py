@@ -16,6 +16,8 @@ from lbcs import (BetaDistribution, MultiReference, OptimizerConfig,
                   cost_full, cost_multiref, exact_variance,
                   grouping_exact_variance_both, optimize, parse_observable,
                   uniform_beta)
+from lbcs.baselines import SizeLimitError
+from lbcs.cli import main
 from lbcs.pauli import PauliError
 from lbcs import shadows, states
 from lbcs.optimizer import DivergenceWarning
@@ -338,6 +340,29 @@ def test_compatible_pairs_in_blocks(rng, monkeypatch):
                 if oracles.strings_qubitwise_commute(texts[a], texts[j])]
         got = list(zip(*(p.tolist() for p in compatible_pairs(data))))
         assert got == want
+
+
+def test_pair_table_size_limit(monkeypatch, capsys, tmp_path):
+    text = "1.0 XX\n0.5 ZZ\n0.3 ZI\n"         # 3 terms, 9 term pairs
+    h = parse_observable(text)
+    v = StateVector.from_bits("00")
+    monkeypatch.setattr(shadows, "PAIR_LIMIT", 8)
+    with pytest.raises(SizeLimitError, match="3 terms make 9 term pairs, "
+                                             "above the limit of 8"):
+        exact_variance(h, v, uniform_beta(2))
+    (tmp_path / "h.txt").write_text(text)
+    np.save(tmp_path / "v.npy", v.amplitudes)
+    code = main(["variance", "--hamiltonian", str(tmp_path / "h.txt"),
+                 "--estimator", "shadows", "--state", str(tmp_path / "v.npy")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: 3 terms make 9 term pairs, above the "
+                            "limit of 8\n")
+    monkeypatch.setattr(shadows, "PAIR_LIMIT", 9)
+    assert exact_variance(h, v, uniform_beta(2)) == pytest.approx(
+        oracles.shadow_variance(h, v.amplitudes, uniform_beta(2).rows),
+        abs=1e-10)
 
 
 def test_exact_variance_rejects_state_of_other_size():
