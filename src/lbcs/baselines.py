@@ -29,16 +29,13 @@ import numpy as np
 
 from .hamiltonian import ObservableSum, l1_norm, gamma_distribution
 from .pauli import I, Z, PauliError, PauliString, agrees_with_basis
-from .shadows import (EstimateReport, PairTable, SizeLimitError, _TermData,
-                      _rng_at, clash_matrix, compatible_pairs, make_rng,
-                      sample_outcomes)
+from .shadows import (_SAMPLER_CHUNK, EstimateReport, PairTable,
+                      SizeLimitError, _TermData, _rng_at, clash_matrix,
+                      compatible_pairs, make_rng, sample_outcomes)
 from .states import (StateVector, born_probabilities, observable_expectation,
                      walsh_hadamard)
 
 
-# Shots per chunk of the l1 and grouping samplers.  Reports do not
-# depend on it.
-_SAMPLER_CHUNK = 1 << 15
 # Entries of the grouping tables (and of the CDFs): groups x 2^n
 TABLE_ENTRY_LIMIT = 1 << 24
 
@@ -280,6 +277,11 @@ def _scheme_rows(data: _TermData, scheme: GroupingScheme) -> list:
         raise GroupingError(f"scheme lists term {data.strings[t]} "
                             f"{times[t]} times, not once")
     return rows
+
+
+def check_scheme(h: ObservableSum, scheme: GroupingScheme):
+    """Raise GroupingError unless ``scheme`` lists every term of H once."""
+    _scheme_rows(_TermData(h), scheme)
 
 
 def _group_tables(data: _TermData, scheme: GroupingScheme, rows: list,

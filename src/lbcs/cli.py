@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import (GroupingError, GroupingScheme, SizeLimitError,
-                        build_grouping, build_term_graph,
+                        build_grouping, build_term_graph, check_scheme,
                         grouping_exact_variance, grouping_from_graph,
                         grouping_protocol, l1_exact_variance, l1_protocol)
 from .hamiltonian import (HamiltonianFormatError, ObservableSum, l1_norm,
@@ -30,12 +30,14 @@ from .pauli import PauliError
 from .shadows import (BetaDistribution, DivergenceError, exact_variance,
                       run_protocol, uniform_beta)
 from .states import (ConvergenceError, SingleReference, StateError,
-                     StateVector, apply_observable_raw, lanczos_ground,
+                     StateVector, apply_observable_raw,
+                     check_statevector_qubits, lanczos_ground,
                      load_reference)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
+ESTIMATORS = ("l1", "ldf", "shadows", "lbcs")
 
 
 def _digest(path) -> str:
@@ -66,21 +68,37 @@ def _fmt(x: float, full: bool) -> str:
 def _resolve_state(h: ObservableSum, spec: str, tol: float, max_iter: int,
                    seed: int):
     """'ground' triggers a seeded eigensolve; anything else is an
-    amplitude dump (.npy) path."""
+    amplitude dump (.npy) path, whose shape is read from its header
+    before its data.  Both check the qubit limit first."""
     if spec == "ground":
         energy, state = lanczos_ground(h, tolerance=tol,
                                        max_iterations=max_iter, seed=seed)
         return state, energy
-    amps = np.load(spec)
-    return StateVector(h.n, np.asarray(amps, dtype=complex)), None
+    check_statevector_qubits(h.n)
+    amps = np.load(spec, mmap_mode="r")
+    if not isinstance(amps, np.ndarray):
+        raise StateError(f"{spec} does not hold one .npy array")
+    if amps.shape != (1 << h.n,):
+        raise StateError(
+            f"expected {1 << h.n} amplitudes, got {amps.shape}")
+    return StateVector(h.n, np.array(amps, dtype=complex)), None
 
 
 def _load_beta(path, n) -> BetaDistribution:
+    if not path:
+        raise HamiltonianFormatError(
+            "--beta is required for the lbcs estimator")
     beta = BetaDistribution.load(path)
     if beta.n != n:
         raise HamiltonianFormatError(
             f"beta file has {beta.n} qubits, Hamiltonian has {n}")
     return beta
+
+
+def _load_scheme(path, h) -> GroupingScheme:
+    scheme = GroupingScheme.load(path)
+    check_scheme(h, scheme)
+    return scheme
 
 
 # -- subcommands ----------------------------------------------------------
@@ -135,13 +153,8 @@ def _variance_rows(h, estimators, state, beta, scheme):
         elif name == "shadows":
             rows.append(("shadows",
                          exact_variance(h, state, uniform_beta(h.n))))
-        elif name == "lbcs":
-            if beta is None:
-                raise HamiltonianFormatError(
-                    "--beta is required for the lbcs estimator")
-            rows.append(("lbcs", exact_variance(h, state, beta)))
         else:
-            raise HamiltonianFormatError(f"unknown estimator {name!r}")
+            rows.append(("lbcs", exact_variance(h, state, beta)))
     return rows
 
 
@@ -166,11 +179,15 @@ def _emit_rows(rows, header, args, manifest):
 
 def cmd_variance(args) -> int:
     h = load_observable(args.hamiltonian)
+    estimators = [e.strip() for e in args.estimator.split(",") if e.strip()]
+    for name in estimators:
+        if name not in ESTIMATORS:
+            raise HamiltonianFormatError(f"unknown estimator {name!r}")
+    beta = (_load_beta(args.beta, h.n)
+            if args.beta or "lbcs" in estimators else None)
+    scheme = _load_scheme(args.scheme, h) if args.scheme else None
     state, _ = _resolve_state(h, args.state, args.tol, args.max_iter,
                               args.seed)
-    beta = _load_beta(args.beta, h.n) if args.beta else None
-    scheme = GroupingScheme.load(args.scheme) if args.scheme else None
-    estimators = [e.strip() for e in args.estimator.split(",") if e.strip()]
     rows = _variance_rows(h, estimators, state, beta, scheme)
     manifest = _manifest("variance",
                          [args.hamiltonian, args.beta, args.scheme],
@@ -181,25 +198,20 @@ def cmd_variance(args) -> int:
 
 def cmd_simulate(args) -> int:
     h = load_observable(args.hamiltonian)
+    beta = (_load_beta(args.beta, h.n) if args.estimator == "lbcs"
+            else uniform_beta(h.n))
+    scheme = (_load_scheme(args.scheme, h)
+              if args.estimator == "ldf" and args.scheme else None)
     state, _ = _resolve_state(h, args.state, args.tol, args.max_iter,
                               args.seed)
     if args.estimator == "l1":
         report = l1_protocol(h, state, args.shots, args.seed)
     elif args.estimator == "ldf":
-        scheme = (GroupingScheme.load(args.scheme) if args.scheme
-                  else build_grouping(h))
+        if scheme is None:
+            scheme = build_grouping(h)
         report = grouping_protocol(h, scheme, state, args.shots, args.seed)
-    elif args.estimator == "shadows":
-        report = run_protocol(h, state, uniform_beta(h.n), args.shots,
-                              args.seed)
-    elif args.estimator == "lbcs":
-        if not args.beta:
-            raise HamiltonianFormatError(
-                "--beta is required for the lbcs estimator")
-        beta = _load_beta(args.beta, h.n)
-        report = run_protocol(h, state, beta, args.shots, args.seed)
     else:
-        raise HamiltonianFormatError(f"unknown estimator {args.estimator!r}")
+        report = run_protocol(h, state, beta, args.shots, args.seed)
     payload = report.to_dict()
     payload["manifest"] = _manifest(
         "simulate", [args.hamiltonian, args.beta, args.scheme],
@@ -312,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate")
     common(p)
-    p.add_argument("--estimator", required=True,
-                   choices=["l1", "ldf", "shadows", "lbcs"])
+    p.add_argument("--estimator", required=True, choices=ESTIMATORS)
     p.add_argument("--beta", default=None)
     p.add_argument("--scheme", default=None)
     p.add_argument("--state", default="ground")

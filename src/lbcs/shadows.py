@@ -8,12 +8,16 @@ locally-biased one; both share the inverse-probability estimator
 Monte Carlo sampling uses a counter-based Philox generator keyed by the
 run seed, consumed in a fixed order (all basis draws, then all outcome
 draws), so results are reproducible bit-for-bit.  ``run_protocol`` streams
-shots in chunks of bounded size: it reads each chunk's uniforms at their
-place in that order, draws every shot's outcome qubit by qubit from the
-basis-rotated amplitudes (``sample_outcome_indices``), and evaluates the
-estimates with uint64 mask algebra over the terms.  Its differential
-reference, one ``measure_state`` and ``single_shot_estimate`` per shot,
-lives in ``tests/oracles.py``.
+shots in chunks of ``_SAMPLER_CHUNK``: it reads each chunk's uniforms at
+their place in that order, draws every shot's outcome qubit by qubit from
+the basis-rotated amplitudes (``sample_outcome_indices``), and evaluates
+the estimates with uint64 mask algebra over the terms.  Two caps fix its
+working set: a trie level holds at most ``_TRIE_AMPLITUDES`` amplitudes
+of child blocks at once (more are walked in batches of whole subtrees),
+and an estimate table at most ``_ESTIMATE_ENTRIES`` shot-term entries
+(more are taken a slice of shots at a time).  Neither changes a float.
+Its differential reference, one ``measure_state`` and
+``single_shot_estimate`` per shot, lives in ``tests/oracles.py``.
 
 Exact second moments have one engine.  A ``PairTable`` lists the
 qubit-wise compatible term pairs with their product strings, matched
@@ -36,14 +40,10 @@ import numpy as np
 from .hamiltonian import ObservableSum
 from .pauli import X, Y, Z, LABEL_CHARS, PauliError, label_codes
 from .states import (BASIS_ROTATIONS, MultiReference, SingleReference,
-                     StateVector)
+                     SizeLimitError, StateVector)
 
 ZERO_PROBABILITY = 1e-12  # beta entries below this count as exact zeros
 PAIR_LIMIT = 1 << 26      # term pairs of one clash matrix (T^2 booleans)
-
-
-class SizeLimitError(RuntimeError):
-    """An input whose tables would exceed a fixed size limit."""
 
 
 class DivergenceError(ValueError):
@@ -204,26 +204,17 @@ def inverse_factors(matched: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 # -- Monte Carlo protocol ------------------------------------------------
 
-# Shots per chunk of run_protocol.  Reports do not depend on it; a chunk
-# is halved until its trie levels and estimate table fit the caps below.
-_CHUNK_SHOTS = 4096
-_CHUNK_AMPLITUDES = 1 << 21   # amplitudes held by one trie level
-_CHUNK_ENTRIES = 1 << 22      # shots x terms entries of one estimate table
+# Shots per chunk of every sampler; reports do not depend on it, nor on
+# the two caps of run_protocol below.
+_SAMPLER_CHUNK = 1 << 15
+_TRIE_AMPLITUDES = 1 << 16    # amplitudes of one batch of trie nodes
+_ESTIMATE_ENTRIES = 1 << 18   # shots x terms entries of one estimate table
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 _ROTATIONS = np.stack([BASIS_ROTATIONS[code] for code in (X, Y, Z)])
 # |c0|^2 = |r00|^2 |lo|^2 + |r01|^2 |hi|^2 + 2 Re(conj(r00) r01 <lo, hi>)
 _LO_WEIGHT = np.abs(_ROTATIONS[:, 0, 0]) ** 2
 _HI_WEIGHT = np.abs(_ROTATIONS[:, 0, 1]) ** 2
 _CROSS_WEIGHT = 2.0 * _ROTATIONS[:, 0, 0].conj() * _ROTATIONS[:, 0, 1]
-
-
-def _chunk_shots(n: int, terms: int) -> int:
-    shots = _CHUNK_SHOTS
-    while shots > 1 and (shots * terms > _CHUNK_ENTRIES or any(
-            min(shots, 6 ** k) << (n - k) > _CHUNK_AMPLITUDES
-            for k in range(1, n))):
-        shots //= 2
-    return shots
 
 
 def _rng_at(seed: int, offset: int) -> np.random.Generator:
@@ -247,33 +238,59 @@ def sample_outcome_indices(amps: np.ndarray, labels: np.ndarray,
     bit is ``u >= p0 / (p0 + p1)``, u is rescaled into the chosen branch,
     and each (node, label, bit) taken by some shot becomes a node of
     level k + 1: its block is row ``bit`` of the label's 2x2 rotation
-    applied to (lo, hi).  A uniform within rounding of a CDF boundary
-    may take the other branch than
-    ``sample_outcomes(born_probabilities(...), u)`` does.
+    applied to (lo, hi).  Where a level's child blocks would hold more
+    than ``_TRIE_AMPLITUDES`` amplitudes, the children are split into
+    consecutive batches and each batch's shots walk on alone; subtrees
+    share no node, so every shot sees the same floats either way.  A
+    uniform within rounding of a CDF boundary may take the other branch
+    than ``sample_outcomes(born_probabilities(...), u)`` does.
     """
-    shots, n = labels.shape
-    blocks = amps[None, :]
-    node = np.zeros(shots, dtype=np.int64)
-    idx = np.zeros(shots, dtype=np.uint64)
-    for k in range(n):
+    shots = labels.shape[0]
+    out = np.empty(shots, dtype=np.uint64)
+    _walk_trie(amps[None, :], np.zeros(shots, dtype=np.int64), labels,
+               np.arange(shots), u, np.zeros(shots, dtype=np.uint64), 0, out)
+    return out
+
+
+def _walk_trie(blocks, node, labels, shot, u, idx, level, out):
+    """Walk the shots ``shot``, which sit at rows ``node`` of ``blocks``
+    with outcome prefix ``idx``, from qubit ``level`` to the leaves, and
+    write their outcome indices to ``out[shot]``."""
+    n = labels.shape[1]
+    for k in range(level, n):
         half = blocks.shape[1] // 2
         lo, hi = blocks[:, :half], blocks[:, half:]
         nlo = np.vecdot(lo, lo).real
         nhi = np.vecdot(hi, hi).real
         p0 = (np.outer(nlo, _LO_WEIGHT) + np.outer(nhi, _HI_WEIGHT)
               + np.outer(np.vecdot(lo, hi), _CROSS_WEIGHT).real)
-        label = labels[:, k] - 1
+        label = labels[shot, k] - 1
         t = p0[node, label] / (nlo + nhi)[node]
         bit = u >= t
         u = np.where(bit, u - t, u) / np.where(bit, 1.0 - t, t)
         u = np.minimum(u, _BELOW_ONE)
         idx = (idx << np.uint64(1)) | bit
+        if k == n - 1:
+            break
         child, node = np.unique(6 * node + 2 * label + bit,
                                 return_inverse=True)
         rows = _ROTATIONS.reshape(6, 2)[child % 6]
         parent = child // 6
-        blocks = rows[:, :1] * lo[parent] + rows[:, 1:] * hi[parent]
-    return idx
+        batch = max(1, _TRIE_AMPLITUDES // half)
+        if child.size <= batch:
+            blocks = rows[:, :1] * lo[parent] + rows[:, 1:] * hi[parent]
+            continue
+        order = np.argsort(node, kind="stable")
+        node, shot, u, idx = node[order], shot[order], u[order], idx[order]
+        firsts = np.arange(0, child.size, batch)
+        bounds = np.searchsorted(node, np.append(firsts, child.size))
+        for c0, s0, s1 in zip(firsts, bounds[:-1], bounds[1:]):
+            c = slice(c0, c0 + batch)
+            kids = rows[c, :1] * lo[parent[c]] + rows[c, 1:] * hi[parent[c]]
+            _walk_trie(kids, node[s0:s1] - c0, labels, shot[s0:s1],
+                       u[s0:s1], idx[s0:s1], k + 1, out)
+        return
+    out[shot] = idx
 
 
 def _chunk_estimates(data: _TermData, weights: np.ndarray,
@@ -282,18 +299,27 @@ def _chunk_estimates(data: _TermData, weights: np.ndarray,
 
     Term Q agrees with basis P iff ((x_P ^ x_Q) | (z_P ^ z_Q)) & supp_Q
     is zero (tested with x and z packed into one word), and then adds
-    weight * (-1)^parity(outcome & supp_Q).
+    weight * (-1)^parity(outcome & supp_Q).  The (shots x terms) table is
+    taken ``_ESTIMATE_ENTRIES // terms`` shots at a time.
     """
     n = np.uint64(data.n)
     place = np.uint64(1) << np.arange(data.n - 1, -1, -1, dtype=np.uint64)
     x_b = ((labels != Z) * place).sum(axis=1, dtype=np.uint64)
     z_b = ((labels != X) * place).sum(axis=1, dtype=np.uint64)
-    miss = ((x_b << n) | z_b)[:, None] ^ ((data.x_masks << n) | data.z_masks)
-    miss &= (data.supp_masks << n) | data.supp_masks
-    shot, term = np.divmod(np.flatnonzero(miss == 0), data.count)
-    signs = 1.0 - 2.0 * _parity(outcomes[shot] & data.supp_masks[term])
-    return np.bincount(shot, weights=signs * weights[term],
-                       minlength=labels.shape[0])
+    basis = (x_b << n) | z_b
+    term_masks = (data.x_masks << n) | data.z_masks
+    supp = (data.supp_masks << n) | data.supp_masks
+    step = max(1, _ESTIMATE_ENTRIES // max(data.count, 1))
+    parts = []
+    for start in range(0, labels.shape[0], step):
+        miss = basis[start:start + step, None] ^ term_masks
+        miss &= supp
+        shot, term = np.divmod(np.flatnonzero(miss == 0), data.count)
+        signs = 1.0 - 2.0 * _parity(outcomes[start + shot]
+                                    & data.supp_masks[term])
+        parts.append(np.bincount(shot, weights=signs * weights[term],
+                                 minlength=miss.shape[0]))
+    return np.concatenate(parts)
 
 
 def _sequential_sum(total: float, values: np.ndarray) -> float:
@@ -307,12 +333,15 @@ def run_protocol(h: ObservableSum, v: StateVector, beta: BetaDistribution,
     """Algorithm: S rounds of biased basis draws and single-qubit readout.
 
     With uniform beta this is plain classical shadows.  Shots run in
-    chunks of bounded size, so memory does not grow with ``shots``.  A
-    chunk's outcomes are drawn qubit by qubit (``sample_outcome_indices``)
-    and its estimates come from mask algebra over the terms.  The stream
-    is the one a single draw would consume: all ``shots x n`` basis
-    uniforms, then all ``shots`` outcome uniforms; each chunk reads its
-    share of both at their place in that order.
+    chunks of ``_SAMPLER_CHUNK``.  A chunk's outcomes are drawn qubit by
+    qubit (``sample_outcome_indices``), whose trie levels are walked in
+    batches of at most ``_TRIE_AMPLITUDES`` amplitudes, and its estimates
+    come from mask algebra over the terms, at most ``_ESTIMATE_ENTRIES``
+    shot-term entries at a time; so the working set grows with neither
+    ``shots`` nor the number of terms.  The stream is the one a single
+    draw would consume: all ``shots x n`` basis uniforms, then all
+    ``shots`` outcome uniforms; each chunk reads its share of both at
+    their place in that order.
 
     Each shot's estimate equals the per-shot reference path of
     ``tests/oracles.py`` (``measure_state`` + ``single_shot_estimate``)
@@ -333,10 +362,9 @@ def run_protocol(h: ObservableSum, v: StateVector, beta: BetaDistribution,
 
     basis_rng = make_rng(seed)
     outcome_rng = _rng_at(seed, shots * h.n)
-    chunk = _chunk_shots(h.n, data.count)
     s1 = s2 = 0.0
-    for start in range(0, shots, chunk):
-        size = min(chunk, shots - start)
+    for start in range(0, shots, _SAMPLER_CHUNK):
+        size = min(_SAMPLER_CHUNK, shots - start)
         labels = sample_basis_labels(beta, size, basis_rng)
         outcomes = sample_outcome_indices(v.amplitudes, labels,
                                           outcome_rng.random(size))

@@ -24,6 +24,10 @@ class StateError(ValueError):
     pass
 
 
+class SizeLimitError(RuntimeError):
+    """An input whose tables would exceed a fixed size limit."""
+
+
 class ConvergenceError(RuntimeError):
     """Eigensolver failed to reach the requested residual."""
 
@@ -258,7 +262,15 @@ def _reference_traces(bitstrings, amplitudes, x: np.ndarray,
 
 # -- ground states -------------------------------------------------------
 
-LANCZOS_QUBIT_LIMIT = 20  # tested up to 16
+LANCZOS_QUBIT_LIMIT = 20  # qubits of a statevector; tested up to 16
+
+
+def check_statevector_qubits(n: int):
+    """Raise SizeLimitError if a 2^n statevector is above the limit."""
+    if n > LANCZOS_QUBIT_LIMIT:
+        raise SizeLimitError(
+            f"a {n}-qubit statevector is above the limit of "
+            f"{LANCZOS_QUBIT_LIMIT} qubits")
 
 
 def lanczos_ground(h: ObservableSum, tolerance: float = 1e-10,
@@ -269,8 +281,7 @@ def lanczos_ground(h: ObservableSum, tolerance: float = 1e-10,
     The start vector is drawn deterministically from the seed; for tiny
     dimensions a dense solve replaces the iteration.
     """
-    if h.n > LANCZOS_QUBIT_LIMIT:
-        raise StateError(f"qubit count {h.n} above limit {LANCZOS_QUBIT_LIMIT}")
+    check_statevector_qubits(h.n)
     dim = 1 << h.n
     rng = np.random.Generator(np.random.Philox(key=seed))
 

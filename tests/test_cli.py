@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lbcs import cli, states
 from lbcs.cli import build_parser, main
 from lbcs.shadows import BetaDistribution
 
@@ -261,6 +262,8 @@ BAD_BETAS = {
     "beta-no-rows": ({"n": 2}, "no 'rows' key"),
     "beta-nan": ({"n": 2, "rows": [[NAN, 0.5, 0.5], [0.5, 0.0, 0.5]]},
                  "finite"),
+    "beta-3-qubits": ({"n": 3, "rows": [[1 / 3] * 3] * 3},
+                      "beta file has 3 qubits, Hamiltonian has 2"),
 }
 BETA_COMMANDS = {
     "variance": ["variance", "--estimator", "lbcs"],
@@ -309,15 +312,25 @@ ERROR_CASES = [
                  "finite", id=f"{command}-state-nan")
     for command, argv in STATE_COMMANDS.items()
 ] + [
+    pytest.param(argv, H3, {}, "--beta is required", id=f"{command}-no-beta")
+    for command, argv in BETA_COMMANDS.items()
+] + [
+    pytest.param(["variance", "--estimator", "l1,bogus"], H3, {},
+                 "unknown estimator 'bogus'", id="variance-unknown-estimator"),
     pytest.param(["optimize", "--cost", "diag", "--out", "{tmp}/beta.json"],
                  H70, {}, "70 qubits", id="optimize-70-qubits"),
     pytest.param(["group"], H70, {}, "70 qubits", id="group-70-qubits"),
 ]
 
 
+def no_eigensolve(*args, **kwargs):
+    raise AssertionError("inputs must be checked before the eigensolve")
+
+
 @pytest.mark.parametrize("argv,hamiltonian,files,fragment", ERROR_CASES)
 def test_malformed_input_exits_1_with_one_error_line(
-        capsys, tmp_path, argv, hamiltonian, files, fragment):
+        capsys, monkeypatch, tmp_path, argv, hamiltonian, files, fragment):
+    monkeypatch.setattr(cli, "lanczos_ground", no_eigensolve)
     path = tmp_path / "h.txt"
     path.write_text(hamiltonian)
     for name, content in files.items():
@@ -334,6 +347,50 @@ def test_malformed_input_exits_1_with_one_error_line(
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    assert fragment in captured.err
+
+
+H4 = "1.0 ZZII\n0.5 XIXI\n-0.3 IYYZ\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance"],
+    ["simulate", "--estimator", "l1", "--shots", "10",
+     "--state", "{tmp}/v.npy"],
+    ["ground"],
+    ["compare", "--bits", "0000"],
+], ids=["variance-ground", "simulate-npy", "ground", "compare"])
+def test_statevector_size_limit_exits_2(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(states, "LANCZOS_QUBIT_LIMIT", 3)
+    (tmp_path / "h.txt").write_text(H4)
+    # a dump of the wrong size: the limit is checked before it is read
+    np.save(tmp_path / "v.npy", np.ones(3))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    argv[1:1] = ["--hamiltonian", str(tmp_path / "h.txt")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: a 4-qubit statevector is above the "
+                            "limit of 3 qubits\n")
+
+
+@pytest.mark.parametrize("name,fragment", [
+    ("v.npy", "expected 16 amplitudes, got (4, 4)"),
+    ("v.npz", "v.npz does not hold one .npy array"),
+])
+def test_state_dump_of_wrong_form_exits_1(capsys, tmp_path, name, fragment):
+    (tmp_path / "h.txt").write_text(H4)
+    with open(tmp_path / name, "wb") as fh:
+        (np.save if name.endswith(".npy") else np.savez)(
+            fh, np.ones((4, 4)) / 4)
+    code = main(["simulate", "--hamiltonian", str(tmp_path / "h.txt"),
+                 "--estimator", "l1", "--shots", "10",
+                 "--state", str(tmp_path / name)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
     assert fragment in captured.err
 
 

@@ -13,6 +13,7 @@ from lbcs.shadows import (DivergenceError, make_rng, sample_basis_labels,
 from lbcs.states import born_probabilities
 
 import oracles
+from conftest import peak_traced_mb
 from oracles import (MeasurementRecord, measure_state, sample_basis,
                      single_shot_estimate)
 
@@ -217,9 +218,41 @@ class TestQubitSequentialSampler:
         v = oracles.random_state(rng, 5)
         beta = oracles.random_beta(rng, 5)
         whole = run_protocol(h, v, beta, shots, seed=11)
-        monkeypatch.setattr(shadows, "_CHUNK_SHOTS", 7)
-        assert shadows._chunk_shots(5, 8) == 7
+        monkeypatch.setattr(shadows, "_SAMPLER_CHUNK", 7)
+        monkeypatch.setattr(shadows, "_TRIE_AMPLITUDES", 2)
+        monkeypatch.setattr(shadows, "_ESTIMATE_ENTRIES", 3)
         assert run_protocol(h, v, beta, shots, seed=11) == whole
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 8, 13])
+    def test_indices_independent_of_trie_cap(self, rng, monkeypatch, n):
+        v = oracles.random_state(rng, n)
+        labels = rng.integers(1, 4, size=(1500, n))
+        u = rng.random(1500)
+        whole = sample_outcome_indices(v.amplitudes, labels, u)
+        # every level splits into batches of one or two nodes
+        monkeypatch.setattr(shadows, "_TRIE_AMPLITUDES", 2)
+        assert np.array_equal(
+            sample_outcome_indices(v.amplitudes, labels, u), whole)
+
+
+def local_hamiltonian(rng, n, count):
+    """``count`` distinct random 1- to 4-local terms on n qubits."""
+    terms = {}
+    while len(terms) < count:
+        labels = np.zeros(n, dtype=int)
+        k = int(rng.integers(1, 5))
+        labels[rng.choice(n, k, replace=False)] = rng.integers(1, 4, k)
+        terms[PauliString.from_labels(labels.tolist())] = rng.uniform(-1, 1)
+    return ObservableSum(n, terms, 0.0)
+
+
+@pytest.mark.parametrize("n,shots", [(12, 20_000), (14, 4096)])
+def test_run_protocol_memory_bounded(rng, n, shots):
+    # the working set grows neither with the terms (600) nor the qubits
+    h = local_hamiltonian(rng, n, 600)
+    v = oracles.random_state(rng, n)
+    beta = oracles.random_beta(rng, n)
+    assert peak_traced_mb(lambda: run_protocol(h, v, beta, shots, 1)) < 16
 
 
 GOLDEN_H = """0.7 IIIII

@@ -5,9 +5,10 @@ import pytest
 
 from lbcs import (PauliString, StateVector, SingleReference, MultiReference,
                   lanczos_ground, parse_observable, load_reference)
-from lbcs.states import (StateError, ConvergenceError, apply_observable_raw,
-                         apply_pauli_raw, born_probabilities,
-                         observable_expectation, rotate_to_basis)
+from lbcs.states import (StateError, ConvergenceError, SizeLimitError,
+                         apply_observable_raw, apply_pauli_raw,
+                         born_probabilities, observable_expectation,
+                         rotate_to_basis)
 
 import oracles
 
@@ -238,7 +239,8 @@ class TestGroundState:
 
     def test_qubit_limit(self):
         h = parse_observable("1.0 " + "Z" * 21 + "\n")
-        with pytest.raises(StateError, match="limit"):
+        with pytest.raises(SizeLimitError, match="21-qubit statevector is "
+                                                 "above the limit of 20"):
             lanczos_ground(h)
 
 
