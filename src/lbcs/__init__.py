@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .pauli import PauliString, agrees_with_basis
 from .hamiltonian import (ObservableSum, parse_observable, load_observable,
-                          serialize_observable, l1_norm, gamma_distribution)
+                          l1_norm)
 from .states import (StateVector, SingleReference, MultiReference,
                      lanczos_ground, load_reference)
 from .shadows import (BetaDistribution, EstimateReport, uniform_beta,

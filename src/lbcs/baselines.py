@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ObservableSum, l1_norm, gamma_distribution
+from .hamiltonian import HamiltonianFormatError, ObservableSum, l1_norm
 from .pauli import I, Z, PauliError, PauliString, agrees_with_basis
 from .shadows import (_SAMPLER_CHUNK, EstimateReport, PairTable,
-                      SizeLimitError, _TermData, _rng_at, clash_matrix,
+                      SizeLimitError, _rng_at, clash_matrix,
                       compatible_pairs, make_rng, sample_outcomes)
 from .states import (StateVector, born_probabilities, observable_expectation,
                      walsh_hadamard)
@@ -46,11 +46,10 @@ class GroupingError(ValueError):
 
 @dataclass(frozen=True)
 class TermGraph:
-    """Vertices are the traceless terms in term-table order, with their
+    """Vertices are H's traceless terms in term-table order, with their
     (V, n) label codes; clash[a, j] is True where terms a and j are not
     qubit-wise commuting."""
 
-    vertices: tuple           # of PauliString
     labels: np.ndarray
     clash: np.ndarray
 
@@ -65,40 +64,47 @@ class TermGraph:
 
 
 def build_term_graph(h: ObservableSum) -> TermGraph:
-    data = _TermData(h)
-    return TermGraph(tuple(data.strings), data.labels, clash_matrix(data))
+    return TermGraph(h.labels, clash_matrix(h))
 
 
 def ldf_coloring(graph: TermGraph) -> list:
     """Greedy coloring in decreasing-degree order; ties broken by the
-    Pauli total order.  Guarantees at most 1 + max degree colors."""
-    count = len(graph.vertices)
+    Pauli total order.  Guarantees at most 1 + max degree colors.
+    Returns each color's term indices, in Pauli order."""
+    count = len(graph.labels)
     color = np.full(count, -1)
     for i in np.lexsort((*graph.labels.T[::-1], -graph.degrees())):
         # bin 0 counts the uncolored neighbors; a free color always exists
         used = np.bincount(color[graph.clash[i]] + 1, minlength=count + 2)
         color[i] = np.argmin(used[1:])
-    collections = [[] for _ in range(color.max(initial=-1) + 1)]
-    for i in np.lexsort(graph.labels.T[::-1]):    # members in Pauli order
-        collections[color[i]].append(graph.vertices[i])
-    return collections
+    pauli = np.lexsort(graph.labels.T[::-1])
+    members = pauli[np.argsort(color[pauli], kind="stable")]
+    sizes = np.bincount(color, minlength=color.max(initial=-1) + 1)
+    return np.split(members, np.cumsum(sizes)[:-1]) if sizes.size else []
 
 
-def representative_basis(collection, n: int) -> PauliString:
-    """The full-weight basis every member agrees with; free qubits get Z."""
-    labels = [0] * n
-    for q in collection:
-        for i in range(n):
-            c = q.label(i)
-            if c == I:
-                continue
-            if labels[i] == 0:
-                labels[i] = c
-            elif labels[i] != c:
-                raise GroupingError(
-                    f"conflicting labels on qubit {i + 1}: collection is "
-                    f"not qubit-wise commuting")
-    return PauliString.from_labels([c if c != 0 else Z for c in labels])
+def representative_basis(h: ObservableSum, members) -> PauliString:
+    """The full-weight basis every listed term agrees with; free qubits
+    get Z."""
+    labels = h.labels[members]
+    top = labels.max(axis=0, initial=I)
+    low = np.where(labels == I, Z + 1, labels).min(axis=0, initial=Z + 1)
+    bad = (top != I) & (low != top)
+    if np.any(bad):
+        raise GroupingError(
+            f"conflicting labels on qubit {int(np.argmax(bad)) + 1}: "
+            f"collection is not qubit-wise commuting")
+    return PauliString.from_labels(np.where(top == I, Z, top).tolist())
+
+
+def collection_l1(h: ObservableSum, collections) -> np.ndarray:
+    """l1 mass sum_t |alpha_t| of each collection's terms, added in
+    member order."""
+    sizes = [len(members) for members in collections]
+    terms = np.concatenate([np.zeros(0, dtype=np.int64), *collections])
+    return np.bincount(np.repeat(np.arange(len(sizes)), sizes),
+                       weights=np.abs(h.coeffs[terms]),
+                       minlength=len(sizes))
 
 
 def kappa_weights(h: ObservableSum, collections) -> np.ndarray:
@@ -106,13 +112,9 @@ def kappa_weights(h: ObservableSum, collections) -> np.ndarray:
     norm = l1_norm(h)
     if norm <= 0:
         raise GroupingError("no traceless mass to distribute")
-    covered = 0
-    kappa = np.empty(len(collections), dtype=float)
-    for k, coll in enumerate(collections):
-        kappa[k] = sum(abs(h.terms[q]) for q in coll) / norm
-        covered += len(coll)
-    if covered != len(h.terms):
+    if sum(len(members) for members in collections) != h.num_terms():
         raise GroupingError("collections do not partition the traceless terms")
+    kappa = collection_l1(h, collections) / norm
     return kappa / kappa.sum()
 
 
@@ -122,10 +124,14 @@ def _scheme_string(text) -> PauliString:
     return PauliString.from_text(text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupingScheme:
-    n: int
-    collections: tuple        # of tuple of PauliString
+    """A partition of H's terms into collections: collection k holds the
+    term indices ``collections[k]``, is measured in the full-weight basis
+    ``bases[k]`` and drawn with probability ``kappa[k]``."""
+
+    h: ObservableSum
+    collections: tuple        # of int64 term-index arrays into h
     bases: tuple              # of full-weight PauliString
     kappa: np.ndarray
 
@@ -136,11 +142,22 @@ class GroupingScheme:
         # written so that a NaN entry fails the test
         if not (np.all(kappa >= 0) and abs(kappa.sum() - 1.0) <= 1e-12):
             raise GroupingError("kappa must be a probability vector")
-        for coll, basis in zip(self.collections, self.bases):
-            for q in coll:
+        h = self.h
+        collections = tuple(np.asarray(members, dtype=np.int64)
+                            for members in self.collections)
+        for members, basis in zip(collections, self.bases):
+            for q in map(h.string, members):
                 if not agrees_with_basis(q, basis):
                     raise GroupingError(
                         f"{q} does not agree with its basis {basis}")
+        times = np.bincount(np.concatenate([np.zeros(0, dtype=np.int64),
+                                            *collections]),
+                            minlength=h.num_terms())
+        if np.any(times != 1):
+            t = np.argmax(times != 1)
+            raise GroupingError(f"scheme lists term {h.string(t)} "
+                                f"{times[t]} times, not once")
+        object.__setattr__(self, "collections", collections)
         object.__setattr__(self, "kappa", kappa)
 
     @property
@@ -149,14 +166,16 @@ class GroupingScheme:
 
     def to_dict(self) -> dict:
         return {
-            "collections": [[q.to_text() for q in coll]
-                            for coll in self.collections],
+            "collections": [[self.h.string(t).to_text() for t in members]
+                            for members in self.collections],
             "bases": [b.to_text() for b in self.bases],
             "kappa": self.kappa.tolist(),
         }
 
     @classmethod
-    def from_dict(cls, data) -> "GroupingScheme":
+    def from_dict(cls, data, h: ObservableSum) -> "GroupingScheme":
+        """The scheme of a JSON object, its strings resolved against H's
+        terms."""
         if not isinstance(data, dict):
             raise GroupingError("scheme must be a JSON object")
         try:
@@ -172,12 +191,19 @@ class GroupingScheme:
             raise GroupingError("scheme has no bases")
         if kappa.ndim != 1:
             raise GroupingError("kappa must be a list of numbers")
-        return cls(bases[0].n, collections, bases, kappa)
+        index = {h.string(t): t for t in range(h.num_terms())}
+        try:
+            rows = tuple(np.array([index[q] for q in coll], dtype=np.int64)
+                         for coll in collections)
+        except KeyError as exc:
+            raise GroupingError(f"scheme string {exc.args[0]} is not a term "
+                                f"of the {h.n}-qubit Hamiltonian") from None
+        return cls(h, rows, bases, kappa)
 
     @classmethod
-    def load(cls, path) -> "GroupingScheme":
+    def load(cls, path, h: ObservableSum) -> "GroupingScheme":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh), h)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -193,10 +219,9 @@ def build_grouping(h: ObservableSum) -> GroupingScheme:
 def grouping_from_graph(h: ObservableSum, graph: TermGraph) -> GroupingScheme:
     """``build_grouping`` on the term graph ``build_term_graph(h)``."""
     collections = ldf_coloring(graph)
-    bases = tuple(representative_basis(coll, h.n) for coll in collections)
-    kappa = kappa_weights(h, collections)
-    return GroupingScheme(h.n, tuple(tuple(c) for c in collections),
-                          bases, kappa)
+    bases = tuple(representative_basis(h, members) for members in collections)
+    return GroupingScheme(h, tuple(collections), bases,
+                          kappa_weights(h, collections))
 
 
 # -- l1 sampling ----------------------------------------------------------
@@ -238,22 +263,23 @@ def l1_protocol(h: ObservableSum, v: StateVector, shots: int,
         raise ValueError("shots must be >= 1")
     if h.n != v.n:
         raise PauliError("qubit count mismatch")
-    gamma = gamma_distribution(h)
-    data = _TermData(h)
-    order = np.lexsort(data.labels.T[::-1])       # the Pauli total order
-    probs = np.array([gamma[data.strings[t]] for t in order])
-    p_plus = 0.5 * (1.0 + v.pauli_traces(data.x_masks[order],
-                                         data.z_masks[order]))
+    norm = l1_norm(h)
+    if norm <= 0.0:
+        raise HamiltonianFormatError(
+            "gamma distribution undefined: no traceless terms")
+    order = np.lexsort(h.labels.T[::-1])          # the Pauli total order
+    probs = np.abs(h.coeffs[order]) / norm
+    p_plus = 0.5 * (1.0 + v.pauli_traces(h.x[order], h.z[order]))
 
     term_rng = make_rng(seed)
     sign_rng = _rng_at(seed, shots)
-    counts = np.zeros(2 * data.count, dtype=np.int64)   # [term, mu > 0]
+    counts = np.zeros(2 * h.num_terms(), dtype=np.int64)   # [term, mu > 0]
     for start in range(0, shots, _SAMPLER_CHUNK):
         size = min(_SAMPLER_CHUNK, shots - start)
         which = sample_outcomes(probs, term_rng.random(size))
         plus = sign_rng.random(size) < p_plus[which]
         np.add.at(counts, 2 * which + plus, 1)
-    scale = l1_norm(h) * np.sign(data.coeffs[order])
+    scale = norm * np.sign(h.coeffs[order])
     values = np.stack([-scale, scale], axis=1).ravel()
     return _histogram_report(counts, values, h.identity_coefficient, shots,
                              seed)
@@ -261,49 +287,29 @@ def l1_protocol(h: ObservableSum, v: StateVector, shots: int,
 
 # -- grouping estimator ---------------------------------------------------
 
-def _scheme_rows(data: _TermData, scheme: GroupingScheme) -> list:
-    """Term-table rows of each collection's strings, in order; raises
-    GroupingError unless the scheme lists every term of H exactly once."""
-    index = {q: t for t, q in enumerate(data.strings)}
-    try:
-        rows = [np.array([index[q] for q in coll], dtype=np.int64)
-                for coll in scheme.collections]
-    except KeyError as exc:
-        raise GroupingError(f"scheme string {exc.args[0]} is not a term of "
-                            f"the {data.n}-qubit Hamiltonian") from None
-    times = np.bincount(np.concatenate(rows), minlength=data.count)
-    if np.any(times != 1):
-        t = np.argmax(times != 1)
-        raise GroupingError(f"scheme lists term {data.strings[t]} "
-                            f"{times[t]} times, not once")
-    return rows
+def _check_scheme_of(h: ObservableSum, scheme: GroupingScheme):
+    if scheme.h is not h:
+        raise GroupingError("the scheme was built for another Hamiltonian")
 
 
-def check_scheme(h: ObservableSum, scheme: GroupingScheme):
-    """Raise GroupingError unless ``scheme`` lists every term of H once."""
-    _scheme_rows(_TermData(h), scheme)
-
-
-def _group_tables(data: _TermData, scheme: GroupingScheme, rows: list,
-                  v: StateVector):
+def _group_tables(h: ObservableSum, scheme: GroupingScheme, v: StateVector):
     """(tables, cdfs), both (K, 2^n).  tables[k, o] is the estimate less
     the identity coefficient of a collection-k shot with outcome o:
     sum_t alpha_t / kappa_k (-1)^parity(o & supp_t), the Walsh-Hadamard
     transform of the weights placed at the members' support masks (members
     of one collection agree with one basis, so their masks differ).
     cdfs[k] is the Born CDF of basis k, its last entry set to 1."""
-    entries = scheme.k_groups << data.n
+    entries = scheme.k_groups << h.n
     if entries > TABLE_ENTRY_LIMIT:
         raise SizeLimitError(
-            f"{scheme.k_groups} groups on {data.n} qubits need {entries} "
+            f"{scheme.k_groups} groups on {h.n} qubits need {entries} "
             f"table entries, above the limit of {TABLE_ENTRY_LIMIT}")
-    tables = np.zeros((scheme.k_groups, 1 << data.n))
+    tables = np.zeros((scheme.k_groups, 1 << h.n))
     cdfs = np.ones_like(tables)    # an empty collection reads outcome 0
-    for k, terms in enumerate(rows):
+    for k, terms in enumerate(scheme.collections):
         if not terms.size:
             continue
-        tables[k, data.supp_masks[terms]] = (data.coeffs[terms]
-                                             / scheme.kappa[k])
+        tables[k, h.supp[terms]] = h.coeffs[terms] / scheme.kappa[k]
         cdfs[k] = np.cumsum(born_probabilities(v, scheme.bases[k]))
         cdfs[k, -1] = 1.0
     return walsh_hadamard(tables), cdfs
@@ -328,13 +334,12 @@ def grouping_protocol(h: ObservableSum, scheme: GroupingScheme,
         raise ValueError("shots must be >= 1")
     if h.n != v.n:
         raise PauliError("qubit count mismatch")
-    data = _TermData(h)
-    rows = _scheme_rows(data, scheme)
-    for k, coll in enumerate(scheme.collections):
-        if coll and scheme.kappa[k] <= 0:
+    _check_scheme_of(h, scheme)
+    for k, members in enumerate(scheme.collections):
+        if members.size and scheme.kappa[k] <= 0:
             raise GroupingError(
                 f"collection {k} is nonempty but has zero sampling weight")
-    tables, cdfs = _group_tables(data, scheme, rows, v)
+    tables, cdfs = _group_tables(h, scheme, v)
 
     group_rng = make_rng(seed)
     outcome_rng = _rng_at(seed, shots)
@@ -350,7 +355,7 @@ def grouping_protocol(h: ObservableSum, scheme: GroupingScheme,
         for k in np.flatnonzero(np.diff(bounds)):
             sel = order[bounds[k]:bounds[k + 1]]
             outcomes[sel] = np.searchsorted(cdfs[k], u[sel], side="right")
-        np.add.at(counts, (which << data.n) + outcomes, 1)
+        np.add.at(counts, (which << h.n) + outcomes, 1)
     return _histogram_report(counts, tables.ravel(), h.identity_coefficient,
                              shots, seed)
 
@@ -372,18 +377,18 @@ def grouping_exact_variance_both(h: ObservableSum, scheme: GroupingScheme,
 
     which is zero only when every A_k/kappa_k equals tr(rho H_0).
     """
-    data = _TermData(h)
-    group = np.empty(data.count, dtype=np.int64)
-    for k, rows in enumerate(_scheme_rows(data, scheme)):
-        group[rows] = k
+    _check_scheme_of(h, scheme)
+    group = np.empty(h.num_terms(), dtype=np.int64)
+    for k, members in enumerate(scheme.collections):
+        group[members] = k
     # members of one collection agree qubit-wise, so its pairs are in
     # the pair table
-    a, j = compatible_pairs(data)
+    a, j = compatible_pairs(h)
     same = group[a] == group[j]
     a, j = a[same], j[same]
-    table = PairTable(data, a, j, scale=1.0 / scheme.kappa[group[a]])
+    table = PairTable(h, a, j, scale=1.0 / scheme.kappa[group[a]])
     pair_sum = float(table.weight @ v.pauli_traces(table.x, table.z))
-    singles = data.coeffs * v.pauli_traces(data.x_masks, data.z_masks)
+    singles = h.coeffs * v.pauli_traces(h.x, h.z)
     means = np.bincount(group, weights=singles, minlength=scheme.k_groups)
     used = np.bincount(group, minlength=scheme.k_groups) > 0
     mean0 = singles.sum()

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import (GroupingError, GroupingScheme, SizeLimitError,
-                        build_grouping, build_term_graph, check_scheme,
+                        build_grouping, build_term_graph, collection_l1,
                         grouping_exact_variance, grouping_from_graph,
                         grouping_protocol, l1_exact_variance, l1_protocol)
 from .hamiltonian import (HamiltonianFormatError, ObservableSum, l1_norm,
@@ -93,12 +93,6 @@ def _load_beta(path, n) -> BetaDistribution:
         raise HamiltonianFormatError(
             f"beta file has {beta.n} qubits, Hamiltonian has {n}")
     return beta
-
-
-def _load_scheme(path, h) -> GroupingScheme:
-    scheme = GroupingScheme.load(path)
-    check_scheme(h, scheme)
-    return scheme
 
 
 # -- subcommands ----------------------------------------------------------
@@ -185,7 +179,7 @@ def cmd_variance(args) -> int:
             raise HamiltonianFormatError(f"unknown estimator {name!r}")
     beta = (_load_beta(args.beta, h.n)
             if args.beta or "lbcs" in estimators else None)
-    scheme = _load_scheme(args.scheme, h) if args.scheme else None
+    scheme = GroupingScheme.load(args.scheme, h) if args.scheme else None
     state, _ = _resolve_state(h, args.state, args.tol, args.max_iter,
                               args.seed)
     rows = _variance_rows(h, estimators, state, beta, scheme)
@@ -200,8 +194,10 @@ def cmd_simulate(args) -> int:
     h = load_observable(args.hamiltonian)
     beta = (_load_beta(args.beta, h.n) if args.estimator == "lbcs"
             else uniform_beta(h.n))
-    scheme = (_load_scheme(args.scheme, h)
+    scheme = (GroupingScheme.load(args.scheme, h)
               if args.estimator == "ldf" and args.scheme else None)
+    if args.shots < 1:
+        raise ValueError("shots must be >= 1")
     state, _ = _resolve_state(h, args.state, args.tol, args.max_iter,
                               args.seed)
     if args.estimator == "l1":
@@ -227,15 +223,12 @@ def cmd_group(args) -> int:
     scheme = grouping_from_graph(h, graph)
     if args.out:
         scheme.save(args.out)
-    norm = l1_norm(h)
-    per_group = [float(sum(abs(h.terms[q]) for q in coll))
-                 for coll in scheme.collections]
     payload = {
         "groups": scheme.k_groups,
         "max_degree": graph.max_degree(),
         "bound_holds": scheme.k_groups <= 1 + graph.max_degree(),
-        "per_group_l1": per_group,
-        "total_l1": norm,
+        "per_group_l1": collection_l1(h, scheme.collections).tolist(),
+        "total_l1": l1_norm(h),
         "manifest": _manifest("group", [args.hamiltonian]),
     }
     print(json.dumps(payload, indent=1))
@@ -249,11 +242,13 @@ def cmd_compare(args) -> int:
     if not isinstance(reference, SingleReference):
         raise HamiltonianFormatError(
             "compare requires a single-reference state")
+    if reference.n != h.n:
+        raise ValueError("reference state size mismatch")
+    config = OptimizerConfig(step=args.delta)
     energy, state = lanczos_ground(h, tolerance=args.tol,
                                    max_iterations=args.max_iter,
                                    seed=args.seed)
     scheme = build_grouping(h)
-    config = OptimizerConfig(step=args.delta)
     full = optimize(h, "full", config, reference=reference)
     diag = optimize(h, "diag", config)
     rows = [

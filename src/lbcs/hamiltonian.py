@@ -1,6 +1,8 @@
-"""Pauli-sum observables: parsing, canonical serialization, coefficient stats.
+"""Pauli-sum observables: the term table, parsing and the l1 norm.
 
-File format: one term per line, ``<coefficient> <pauli-string>``; ``#``
+``ObservableSum`` holds H's traceless terms once, as read-only arrays in
+canonical order; every estimator, cost and sampler reads them.  File
+format: one term per line, ``<coefficient> <pauli-string>``; ``#``
 starts a comment, blank lines are ignored.  The all-identity coefficient
 is stored separately from the traceless terms.
 """
@@ -8,11 +10,11 @@ is stored separately from the traceless terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliString, label_codes
+from .pauli import X, Y, Z, PauliString, label_codes
 
 MAX_QUBITS = 64  # the term tables pack x and z masks into uint64
 
@@ -27,52 +29,77 @@ class HamiltonianFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableSum:
-    """H = identity_coefficient * I + sum_Q alpha_Q Q over traceless Q."""
+    """H = identity_coefficient * I + sum_t coeffs[t] * P_t: the term table.
+
+    Term t is the traceless string P_t with uint64 masks (x[t], z[t]).
+    The constructor sums duplicate strings in input order, drops zero
+    sums and sorts the terms into canonical order: descending |coeff|,
+    then the Pauli order I < X < Y < Z of the labels, qubit 1 first.
+    Derived per instance: ``labels`` (terms, n) label codes, ``supp`` =
+    x | z, and ``needed`` (n, 3), True where some term carries label
+    X, Y or Z on a qubit.  All arrays are read-only.
+    """
 
     n: int
-    terms: dict  # PauliString -> float, no zeros, no identity
+    x: np.ndarray
+    z: np.ndarray
+    coeffs: np.ndarray
     identity_coefficient: float = 0.0
+    labels: np.ndarray = field(init=False, repr=False)
+    supp: np.ndarray = field(init=False, repr=False)
+    needed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for q, a in self.terms.items():
-            if q.n != self.n:
-                raise HamiltonianFormatError(
-                    f"term {q} has {q.n} qubits, expected {self.n}")
-            if q.is_identity():
-                raise HamiltonianFormatError(
-                    "identity term must live in identity_coefficient")
-            if a == 0.0 or not math.isfinite(a):
-                raise HamiltonianFormatError(f"bad coefficient {a} for {q}")
-
-    def sorted_terms(self):
-        """Descending |alpha|, ties broken by the Pauli total order."""
-        items = list(self.terms.items())
-        labels = label_codes(
-            np.array([q.x_mask for q, _ in items], dtype=np.uint64),
-            np.array([q.z_mask for q, _ in items], dtype=np.uint64), self.n)
-        size = np.abs(np.array([a for _, a in items], dtype=float))
-        return [items[t] for t in np.lexsort((*labels.T[::-1], -size))]
+        masks = np.stack([np.asarray(self.x, dtype=np.uint64),
+                          np.asarray(self.z, dtype=np.uint64)], axis=1)
+        if np.any((masks == 0).all(axis=1)):
+            raise HamiltonianFormatError(
+                "identity term must live in identity_coefficient")
+        if not 1 <= self.n <= MAX_QUBITS or np.any(
+                masks & ~np.uint64((1 << self.n) - 1)):
+            raise HamiltonianFormatError(f"masks do not fit {self.n} qubits")
+        keys, inverse = np.unique(masks, axis=0, return_inverse=True)
+        sums = np.bincount(inverse.ravel(), weights=self.coeffs,
+                           minlength=len(keys))
+        bad = np.flatnonzero(~np.isfinite(sums))
+        if bad.size:
+            raise HamiltonianFormatError(
+                f"bad coefficient {sums[bad[0]]} for "
+                f"{PauliString(self.n, *keys[bad[0]].tolist())}")
+        if not math.isfinite(self.identity_coefficient):
+            raise HamiltonianFormatError(
+                f"bad identity coefficient {self.identity_coefficient}")
+        keys, sums = keys[sums != 0.0], sums[sums != 0.0]
+        labels = label_codes(keys[:, 0], keys[:, 1], self.n)
+        order = np.lexsort((*labels.T[::-1], -np.abs(sums)))
+        x, z = keys[order, 0], keys[order, 1]
+        labels = labels[order]
+        table = {
+            "x": x, "z": z, "coeffs": sums[order], "labels": labels,
+            "supp": x | z,
+            "needed": np.stack([(labels == w).any(axis=0)
+                                for w in (X, Y, Z)], axis=1),
+        }
+        for name, value in table.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def num_terms(self) -> int:
-        return len(self.terms)
+        return self.coeffs.size
 
-    def scaled(self, c: float) -> "ObservableSum":
-        return ObservableSum(
-            self.n,
-            {q: c * a for q, a in self.terms.items()},
-            c * self.identity_coefficient,
-        )
+    def string(self, t: int) -> PauliString:
+        """The Pauli string of term t."""
+        return PauliString(self.n, int(self.x[t]), int(self.z[t]))
 
 
 def parse_observable(text: str) -> ObservableSum:
     """Parse the text format; duplicate strings are summed, zeros dropped.
     Every string must have the same length as the first."""
     n = None
-    acc: dict[PauliString, float] = {}
+    xs, zs, coeffs = [], [], []
     identity = 0.0
-    seen_any = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,15 +130,17 @@ def parse_observable(text: str) -> ObservableSum:
             q = PauliString.from_text(pauli_text)
         except ValueError as exc:
             raise HamiltonianFormatError(str(exc), lineno) from None
-        seen_any = True
         if q.is_identity():
             identity += coeff
         else:
-            acc[q] = acc.get(q, 0.0) + coeff
-    if not seen_any:
+            xs.append(q.x_mask)
+            zs.append(q.z_mask)
+            coeffs.append(coeff)
+    if n is None:
         raise HamiltonianFormatError("no terms found")
-    terms = {q: a for q, a in acc.items() if a != 0.0}
-    return ObservableSum(n, terms, identity)
+    return ObservableSum(n, np.array(xs, dtype=np.uint64),
+                         np.array(zs, dtype=np.uint64),
+                         np.array(coeffs, dtype=float), identity)
 
 
 def load_observable(path) -> ObservableSum:
@@ -119,27 +148,6 @@ def load_observable(path) -> ObservableSum:
         return parse_observable(fh.read())
 
 
-def serialize_observable(h: ObservableSum) -> str:
-    """Canonical text: identity first if nonzero, then descending |alpha|."""
-    lines = []
-    if h.identity_coefficient != 0.0:
-        lines.append(f"{h.identity_coefficient!r} {'I' * h.n}")
-    for q, a in h.sorted_terms():
-        lines.append(f"{a!r} {q.to_text()}")
-    return "\n".join(lines) + "\n"
-
-
 def l1_norm(h: ObservableSum) -> float:
     """l1 norm of the traceless coefficients (identity excluded)."""
-    return sum(abs(a) for a in h.terms.values())
-
-
-def gamma_distribution(h: ObservableSum) -> dict:
-    """Probabilities proportional to |alpha_P| over traceless terms."""
-    norm = l1_norm(h)
-    if norm <= 0.0:
-        raise HamiltonianFormatError(
-            "gamma distribution undefined: no traceless terms")
-    gamma = {q: abs(a) / norm for q, a in h.terms.items()}
-    total = sum(gamma.values())
-    return {q: p / total for q, p in gamma.items()}
+    return float(np.abs(h.coeffs).sum())

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import ObservableSum
-from .shadows import (BetaDistribution, PairTable, SecondMoment, _TermData,
+from .shadows import (BetaDistribution, PairTable, SecondMoment,
                       divergent_positions, reciprocal, uniform_beta)
 from .states import MultiReference, SingleReference
 
@@ -49,6 +49,8 @@ class OptimizerConfig:
             raise ValueError("step must lie in (0, 1)")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -75,20 +77,20 @@ class OptimizeResult:
 
 # -- the costs as second moments -----------------------------------------
 
-def _cost_moment(data: _TermData, reference=None) -> SecondMoment:
+def _cost_moment(h: ObservableSum, reference=None) -> SecondMoment:
     """A cost as a second moment: over the diagonal pairs (product I,
     trace 1) without a reference (diag), over every compatible pair on
     the reference state otherwise (full, multiref)."""
     if reference is None:
-        return SecondMoment(data.labels.T, data.coeffs ** 2)
-    if reference.n != data.n:
+        return SecondMoment(h.labels.T, h.coeffs ** 2)
+    if reference.n != h.n:
         raise ValueError("reference state size mismatch")
-    return PairTable.compatible(data).moment(reference)
+    return PairTable.compatible(h).moment(reference)
 
 
-def _evaluate(data: _TermData, moment: SecondMoment,
+def _evaluate(h: ObservableSum, moment: SecondMoment,
               beta: BetaDistribution) -> float:
-    if divergent_positions(data, beta).size:
+    if divergent_positions(h, beta).size:
         warnings.warn(
             "beta vanishes at a position used by a Hamiltonian term; the "
             "reported cost under-reports an infinite variance",
@@ -98,23 +100,20 @@ def _evaluate(data: _TermData, moment: SecondMoment,
 
 def cost_diag(h: ObservableSum, beta: BetaDistribution) -> float:
     """Convex diagonal cost: sum_Q alpha_Q^2 prod_supp 1/beta."""
-    data = _TermData(h)
-    return _evaluate(data, _cost_moment(data), beta)
+    return _evaluate(h, _cost_moment(h), beta)
 
 
 def cost_full(h: ObservableSum, ref: SingleReference,
               beta: BetaDistribution) -> float:
     """Influential-pair cost: the second moment on the reference state."""
-    data = _TermData(h)
-    return _evaluate(data, _cost_moment(data, ref), beta)
+    return _evaluate(h, _cost_moment(h, ref), beta)
 
 
 def cost_multiref(h: ObservableSum, ref: MultiReference,
                   beta: BetaDistribution) -> float:
     """The second moment on the multi-component reference state; equals
     cost_full for one component."""
-    data = _TermData(h)
-    return _evaluate(data, _cost_moment(data, ref), beta)
+    return _evaluate(h, _cost_moment(h, ref), beta)
 
 
 # -- the Lagrange rows ---------------------------------------------------
@@ -132,14 +131,9 @@ def _rows_from_num(num: np.ndarray, current: np.ndarray, floor: float):
         if den[i] == 0.0:
             continue
         row = num[i] / den[i]
-        low = row < floor
-        if floor > 0 and np.any(low):
+        if np.any(row < floor):
             floored += int(np.count_nonzero(row < 0))
             row = np.maximum(row, floor)
-            row = row / row.sum()
-        elif np.any(row < 0):
-            floored += int(np.count_nonzero(row < 0))
-            row = np.maximum(row, 0.0)
             row = row / row.sum()
         rows[i] = row
     return rows, den, floored
@@ -164,8 +158,7 @@ def optimize(h: ObservableSum, cost_kind: str,
     kind = required[cost_kind]
     if kind is not None and not isinstance(reference, kind):
         raise ValueError(f"{cost_kind} cost requires a {kind.__name__}")
-    data = _TermData(h)
-    moment = _cost_moment(data, None if kind is None else reference)
+    moment = _cost_moment(h, None if kind is None else reference)
 
     beta = uniform_beta(h.n)
     floored_total = 0
@@ -203,7 +196,7 @@ def optimize(h: ObservableSum, cost_kind: str,
 
     return OptimizeResult(
         beta=beta,
-        cost=_evaluate(data, moment, beta),
+        cost=_evaluate(h, moment, beta),
         iterations=iterations,
         converged=converged,
         kkt_residual=kkt,

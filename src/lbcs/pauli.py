@@ -68,10 +68,6 @@ class PauliString:
             raise PauliError("empty Pauli string")
         return cls.from_labels(codes)
 
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0)
-
     # -- views -------------------------------------------------------
 
     def label(self, i: int) -> int:
@@ -88,28 +84,11 @@ class PauliString:
     def __str__(self) -> str:
         return self.to_text()
 
-    # Lexicographic order in labels with I < X < Y < Z.
-    def _sort_key(self):
-        return self.labels()
-
-    def __lt__(self, other: "PauliString") -> bool:
-        return self._sort_key() < other._sort_key()
-
-    def __le__(self, other: "PauliString") -> bool:
-        return self._sort_key() <= other._sort_key()
-
     # -- structure ---------------------------------------------------
 
     @property
     def support_mask(self) -> int:
         return self.x_mask | self.z_mask
-
-    def support(self) -> set:
-        m = self.support_mask
-        return {i for i in range(self.n) if (m >> (self.n - 1 - i)) & 1}
-
-    def weight(self) -> int:
-        return self.support_mask.bit_count()
 
     def is_identity(self) -> bool:
         return self.support_mask == 0

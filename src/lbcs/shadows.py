@@ -11,14 +11,16 @@ draws), so results are reproducible bit-for-bit.  ``run_protocol`` streams
 shots in chunks of ``_SAMPLER_CHUNK``: it reads each chunk's uniforms at
 their place in that order, draws every shot's outcome qubit by qubit from
 the basis-rotated amplitudes (``sample_outcome_indices``), and evaluates
-the estimates with uint64 mask algebra over the terms.  Two caps fix its
-working set: a trie level holds at most ``_TRIE_AMPLITUDES`` amplitudes
-of child blocks at once (more are walked in batches of whole subtrees),
-and an estimate table at most ``_ESTIMATE_ENTRIES`` shot-term entries
-(more are taken a slice of shots at a time).  Neither changes a float.
-Its differential reference, one ``measure_state`` and
+the estimates with uint64 mask algebra over H's term table.  Two caps fix
+its working set: a trie level holds at most ``_TRIE_AMPLITUDES``
+amplitudes of child blocks at once (more are walked in batches of whole
+subtrees), and an estimate table at most ``_ESTIMATE_ENTRIES`` shot-term
+entries (more are taken a slice of shots at a time).  Neither changes a
+float.  Its differential reference, one ``measure_state`` and
 ``single_shot_estimate`` per shot, lives in ``tests/oracles.py``.
 
+Every routine here reads the terms from the arrays of ``ObservableSum``
+(masks, coefficients, label codes, supports), in its canonical order.
 Exact second moments have one engine.  A ``PairTable`` lists the
 qubit-wise compatible term pairs with their product strings, matched
 positions and weights; the state enters only through the traces
@@ -38,7 +40,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .hamiltonian import ObservableSum
-from .pauli import X, Y, Z, LABEL_CHARS, PauliError, label_codes
+from .pauli import X, Y, Z, LABEL_CHARS, PauliError
 from .states import (BASIS_ROTATIONS, MultiReference, SingleReference,
                      SizeLimitError, StateVector)
 
@@ -80,9 +82,6 @@ class BetaDistribution:
         rows = rows.copy()
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-
-    def probability(self, qubit: int, label: int) -> float:
-        return float(self.rows[qubit, label - 1])
 
     def to_dict(self) -> dict:
         return {"n": self.n, "rows": self.rows.tolist()}
@@ -148,40 +147,14 @@ def sample_outcomes(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(cum, u, side="right")
 
 
-# -- bulk term data ------------------------------------------------------
-
-def _parity(values: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(values) & 1
-
-
-class _TermData:
-    """Precomputed per-term arrays shared by the bulk routines."""
-
-    def __init__(self, h: ObservableSum):
-        items = h.sorted_terms()
-        self.n = h.n
-        self.strings = [q for q, _ in items]
-        self.coeffs = np.array([a for _, a in items], dtype=float)
-        self.count = len(items)
-        self.x_masks = np.array([q.x_mask for q in self.strings],
-                                dtype=np.uint64)
-        self.z_masks = np.array([q.z_mask for q in self.strings],
-                                dtype=np.uint64)
-        self.labels = label_codes(self.x_masks, self.z_masks, h.n)
-        self.supp_masks = self.x_masks | self.z_masks
-        # needed[i, w - 1]: some term carries label w on qubit i
-        self.needed = np.stack([(self.labels == w).any(axis=0)
-                                for w in (X, Y, Z)], axis=1)
-
-
-def divergent_positions(data: _TermData,
+def divergent_positions(h: ObservableSum,
                         beta: BetaDistribution) -> np.ndarray:
     """(qubit, label - 1) rows where beta vanishes but some term needs it."""
-    return np.argwhere(data.needed & (beta.rows <= ZERO_PROBABILITY))
+    return np.argwhere(h.needed & (beta.rows <= ZERO_PROBABILITY))
 
 
-def _check_divergence(data: _TermData, beta: BetaDistribution):
-    bad = divergent_positions(data, beta)
+def _check_divergence(h: ObservableSum, beta: BetaDistribution):
+    bad = divergent_positions(h, beta)
     if bad.size:
         raise DivergenceError(int(bad[0, 0]), int(bad[0, 1]) + 1)
 
@@ -293,7 +266,7 @@ def _walk_trie(blocks, node, labels, shot, u, idx, level, out):
     out[shot] = idx
 
 
-def _chunk_estimates(data: _TermData, weights: np.ndarray,
+def _chunk_estimates(h: ObservableSum, weights: np.ndarray,
                      labels: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     """Single-shot estimates less the identity coefficient, by mask algebra.
 
@@ -302,21 +275,22 @@ def _chunk_estimates(data: _TermData, weights: np.ndarray,
     weight * (-1)^parity(outcome & supp_Q).  The (shots x terms) table is
     taken ``_ESTIMATE_ENTRIES // terms`` shots at a time.
     """
-    n = np.uint64(data.n)
-    place = np.uint64(1) << np.arange(data.n - 1, -1, -1, dtype=np.uint64)
+    count = h.num_terms()
+    n = np.uint64(h.n)
+    place = np.uint64(1) << np.arange(h.n - 1, -1, -1, dtype=np.uint64)
     x_b = ((labels != Z) * place).sum(axis=1, dtype=np.uint64)
     z_b = ((labels != X) * place).sum(axis=1, dtype=np.uint64)
     basis = (x_b << n) | z_b
-    term_masks = (data.x_masks << n) | data.z_masks
-    supp = (data.supp_masks << n) | data.supp_masks
-    step = max(1, _ESTIMATE_ENTRIES // max(data.count, 1))
+    term_masks = (h.x << n) | h.z
+    supp = (h.supp << n) | h.supp
+    step = max(1, _ESTIMATE_ENTRIES // max(count, 1))
     parts = []
     for start in range(0, labels.shape[0], step):
         miss = basis[start:start + step, None] ^ term_masks
         miss &= supp
-        shot, term = np.divmod(np.flatnonzero(miss == 0), data.count)
-        signs = 1.0 - 2.0 * _parity(outcomes[start + shot]
-                                    & data.supp_masks[term])
+        shot, term = np.divmod(np.flatnonzero(miss == 0), count)
+        signs = 1.0 - 2.0 * (np.bitwise_count(outcomes[start + shot]
+                                              & h.supp[term]) & 1)
         parts.append(np.bincount(shot, weights=signs * weights[term],
                                  minlength=miss.shape[0]))
     return np.concatenate(parts)
@@ -355,10 +329,9 @@ def run_protocol(h: ObservableSum, v: StateVector, beta: BetaDistribution,
         raise ValueError("shots must be >= 1")
     if h.n != v.n or beta.n != h.n:
         raise PauliError("qubit count mismatch")
-    data = _TermData(h)
     # a term touching a zero-probability label never agrees with a
     # sampled basis, and its reciprocal factor is 0
-    weights = data.coeffs * inverse_factors(data.labels.T, reciprocal(beta))
+    weights = h.coeffs * inverse_factors(h.labels.T, reciprocal(beta))
 
     basis_rng = make_rng(seed)
     outcome_rng = _rng_at(seed, shots * h.n)
@@ -368,7 +341,7 @@ def run_protocol(h: ObservableSum, v: StateVector, beta: BetaDistribution,
         labels = sample_basis_labels(beta, size, basis_rng)
         outcomes = sample_outcome_indices(v.amplitudes, labels,
                                           outcome_rng.random(size))
-        dev = _chunk_estimates(data, weights, labels, outcomes)
+        dev = _chunk_estimates(h, weights, labels, outcomes)
         s1 = _sequential_sum(s1, dev)
         s2 = _sequential_sum(s2, dev * dev)
 
@@ -382,30 +355,31 @@ def run_protocol(h: ObservableSum, v: StateVector, beta: BetaDistribution,
 _PAIR_BLOCK = 1 << 18   # term pairs compared at once
 
 
-def clash_matrix(data: _TermData) -> np.ndarray:
-    """(count, count) booleans, True where two terms are not qubit-wise
+def clash_matrix(h: ObservableSum) -> np.ndarray:
+    """(terms, terms) booleans, True where two terms are not qubit-wise
     compatible: some qubit carries two different non-identity labels.
     Built about ``_PAIR_BLOCK`` term pairs at a time; above ``PAIR_LIMIT``
     entries it raises SizeLimitError before allocating."""
-    if data.count ** 2 > PAIR_LIMIT:
+    count = h.num_terms()
+    if count ** 2 > PAIR_LIMIT:
         raise SizeLimitError(
-            f"{data.count} terms make {data.count ** 2} term pairs, above "
+            f"{count} terms make {count ** 2} term pairs, above "
             f"the limit of {PAIR_LIMIT}")
-    clash = np.empty((data.count, data.count), dtype=bool)
-    rows = max(1, _PAIR_BLOCK // max(data.count, 1))
-    for start in range(0, data.count, rows):
+    clash = np.empty((count, count), dtype=bool)
+    rows = max(1, _PAIR_BLOCK // max(count, 1))
+    for start in range(0, count, rows):
         a = slice(start, start + rows)
-        miss = data.x_masks[a, None] ^ data.x_masks
-        miss |= data.z_masks[a, None] ^ data.z_masks
-        miss &= data.supp_masks[a, None] & data.supp_masks
+        miss = h.x[a, None] ^ h.x
+        miss |= h.z[a, None] ^ h.z
+        miss &= h.supp[a, None] & h.supp
         clash[a] = miss != 0
     return clash
 
 
-def compatible_pairs(data: _TermData):
+def compatible_pairs(h: ObservableSum):
     """Index arrays (a, j), a <= j, of the qubit-wise compatible term
     pairs in row-major order."""
-    return np.nonzero(np.triu(~clash_matrix(data)))
+    return np.nonzero(np.triu(~clash_matrix(h)))
 
 
 class PairTable:
@@ -419,19 +393,19 @@ class PairTable:
     off it, so a sum over the table is a sum over ordered pairs.
     """
 
-    def __init__(self, data: _TermData, a: np.ndarray, j: np.ndarray,
+    def __init__(self, h: ObservableSum, a: np.ndarray, j: np.ndarray,
                  scale=1.0):
-        self.x = data.x_masks[a] ^ data.x_masks[j]
-        self.z = data.z_masks[a] ^ data.z_masks[j]
-        self.weight = (np.where(a == j, 1.0, 2.0) * data.coeffs[a]
-                       * data.coeffs[j] * scale)
-        self.matched = np.empty((data.n, a.size), dtype=np.uint8)
-        for i, labels in enumerate(data.labels.T):
+        self.x = h.x[a] ^ h.x[j]
+        self.z = h.z[a] ^ h.z[j]
+        self.weight = (np.where(a == j, 1.0, 2.0) * h.coeffs[a]
+                       * h.coeffs[j] * scale)
+        self.matched = np.empty((h.n, a.size), dtype=np.uint8)
+        for i, labels in enumerate(h.labels.T):
             self.matched[i] = np.where(labels[a] == labels[j], labels[a], 0)
 
     @classmethod
-    def compatible(cls, data: _TermData) -> "PairTable":
-        return cls(data, *compatible_pairs(data))
+    def compatible(cls, h: ObservableSum) -> "PairTable":
+        return cls(h, *compatible_pairs(h))
 
     def moment(self, state) -> "SecondMoment":
         """The second moment on ``state``; its traces are taken once."""
@@ -473,10 +447,9 @@ def exact_variance(h: ObservableSum, state, beta: BetaDistribution) -> float:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     if beta.n != h.n or state.n != h.n:
         raise PauliError("qubit count mismatch")
-    data = _TermData(h)
-    _check_divergence(data, beta)
-    if data.count == 0:
+    _check_divergence(h, beta)
+    if h.num_terms() == 0:
         return 0.0
-    second = PairTable.compatible(data).moment(state).value(reciprocal(beta))
-    mean0 = data.coeffs @ state.pauli_traces(data.x_masks, data.z_masks)
+    second = PairTable.compatible(h).moment(state).value(reciprocal(beta))
+    mean0 = h.coeffs @ state.pauli_traces(h.x, h.z)
     return float(second - mean0 ** 2)

@@ -88,9 +88,6 @@ class SingleReference:
     def bits(self) -> str:
         return "".join("0" if m == 1 else "1" for m in self.signs)
 
-    def to_statevector(self) -> StateVector:
-        return StateVector.from_bits(self.bits)
-
     def pauli_traces(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """tr(rho S) for the strings S = i^{|x & z|} X^x Z^z given by
         uint64 masks; a one-component reference."""
@@ -121,12 +118,6 @@ class MultiReference:
     @property
     def n(self) -> int:
         return len(self.bitstrings[0])
-
-    def to_statevector(self) -> StateVector:
-        amps = np.zeros(1 << self.n, dtype=complex)
-        for bits, lam in zip(self.bitstrings, self.amplitudes):
-            amps[int(bits, 2)] = lam
-        return StateVector(self.n, amps)
 
     def pauli_traces(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """tr(rho S) for the strings S = i^{|x & z|} X^x Z^z given by
@@ -164,25 +155,22 @@ def reference_from_dict(data):
 
 # -- Pauli application --------------------------------------------------
 
-def _popcount(arr):
-    return np.bitwise_count(arr)
-
-
-def apply_pauli_raw(p: PauliString, amps: np.ndarray) -> np.ndarray:
-    """P|v> on a raw amplitude array (not necessarily normalized)."""
+def apply_pauli_raw(x: int, z: int, amps: np.ndarray) -> np.ndarray:
+    """P|v> on a raw amplitude array (not necessarily normalized), for
+    the string P with masks (x, z)."""
     dim = amps.shape[0]
     idx = np.arange(dim, dtype=np.uint64)
-    src = idx ^ np.uint64(p.x_mask)
+    src = idx ^ np.uint64(x)
     # P = i^{|x&z|} X^x Z^z and X^x Z^z |j> = (-1)^{z.j} |j ^ x>
-    phase = 1j ** ((p.x_mask & p.z_mask).bit_count() % 4)
-    signs = 1.0 - 2.0 * (_popcount(src & np.uint64(p.z_mask)) & 1)
+    phase = 1j ** ((x & z).bit_count() % 4)
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(z)) & 1)
     return phase * signs * amps[src]
 
 
 def apply_observable_raw(h: ObservableSum, amps: np.ndarray) -> np.ndarray:
     out = h.identity_coefficient * amps
-    for q, a in h.terms.items():
-        out += a * apply_pauli_raw(q, amps)
+    for x, z, a in zip(h.x.tolist(), h.z.tolist(), h.coeffs.tolist()):
+        out += a * apply_pauli_raw(x, z, amps)
     return out
 
 
@@ -191,10 +179,8 @@ def apply_observable_raw(h: ObservableSum, amps: np.ndarray) -> np.ndarray:
 def observable_expectation(h: ObservableSum, v: StateVector) -> float:
     if h.n != v.n:
         raise PauliError(f"qubit count mismatch: {h.n} vs {v.n}")
-    x = np.array([q.x_mask for q in h.terms], dtype=np.uint64)
-    z = np.array([q.z_mask for q in h.terms], dtype=np.uint64)
-    coeffs = np.array(list(h.terms.values()), dtype=float)
-    return h.identity_coefficient + float(coeffs @ v.pauli_traces(x, z))
+    traces = v.pauli_traces(h.x, h.z)
+    return h.identity_coefficient + float(h.coeffs @ traces)
 
 
 # -- trace oracles of the state kinds ------------------------------------

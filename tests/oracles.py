@@ -14,7 +14,8 @@ from functools import reduce
 
 import numpy as np
 
-from lbcs import BetaDistribution, ObservableSum, StateVector
+from lbcs import (BetaDistribution, ObservableSum, StateVector,
+                  parse_observable)
 from lbcs.pauli import I, PauliError, PauliString, _check_same_n
 from lbcs.shadows import sample_basis_labels, sample_outcomes
 from lbcs.states import born_probabilities
@@ -33,10 +34,46 @@ def dense_from_text(text):
     return reduce(np.kron, (SIGMA[c] for c in text))
 
 
+# -- term tables through their text ---------------------------------------
+
+def observable(n, terms, identity=0.0):
+    """The ObservableSum of {PauliString: coefficient}, through the text
+    format (repr round-trips every float)."""
+    lines = [f"{float(identity)!r} {'I' * n}"]
+    lines += [f"{float(a)!r} {q.to_text()}" for q, a in terms.items()]
+    return parse_observable("\n".join(lines))
+
+
+def term_dict(h):
+    """{PauliString: coefficient} of H's terms, in term-table order."""
+    return {h.string(t): float(a) for t, a in enumerate(h.coeffs)}
+
+
+def term_texts(h):
+    return [h.string(t).to_text() for t in range(h.num_terms())]
+
+
+def apply_pauli(q, amps):
+    """q|v> through the mask matvec ``states.apply_pauli_raw``."""
+    from lbcs.states import apply_pauli_raw
+
+    return apply_pauli_raw(q.x_mask, q.z_mask, amps)
+
+
+def reference_statevector(ref):
+    """The statevector of a SingleReference or MultiReference."""
+    if hasattr(ref, "signs"):
+        return StateVector.from_bits(ref.bits)
+    amps = np.zeros(1 << ref.n, dtype=complex)
+    for bits, lam in zip(ref.bitstrings, ref.amplitudes):
+        amps[int(bits, 2)] = lam
+    return StateVector(ref.n, amps)
+
+
 def dense_observable(h):
     dim = 1 << h.n
     mat = h.identity_coefficient * np.eye(dim, dtype=complex)
-    for q, a in h.terms.items():
+    for q, a in term_dict(h).items():
         mat = mat + a * dense_from_text(q.to_text())
     return mat
 
@@ -69,7 +106,7 @@ def shadow_moments(h, v, beta_rows):
     sign patterns weighted by projector probabilities.
     """
     n = h.n
-    terms = [(q.to_text(), a) for q, a in h.terms.items()]
+    terms = [(q.to_text(), a) for q, a in term_dict(h).items()]
     e1 = e2 = 0.0
     for basis in itertools.product("XYZ", repeat=n):
         basis_text = "".join(basis)
@@ -105,9 +142,10 @@ def shadow_variance(h, v, beta_rows):
 
 def l1_moments(h, v):
     """Exhaustive moments of the l1-sampled estimator."""
-    norm = sum(abs(a) for a in h.terms.values())
+    terms = term_dict(h)
+    norm = sum(abs(a) for a in terms.values())
     e1 = e2 = 0.0
-    for q, a in h.terms.items():
+    for q, a in terms.items():
         gamma = abs(a) / norm
         text = q.to_text()
         # pad free qubits with Z; the estimator ignores them
@@ -127,18 +165,18 @@ def l1_moments(h, v):
 
 def _group_sum_law(h, coll, basis_text, v):
     """Yield (probability, sum_q alpha_q mu_q) over the outcomes of one
-    group read out in its basis."""
+    group (term indices) read out in its basis."""
     for signs in itertools.product((1, -1), repeat=h.n):
         p_out = outcome_probability(v, basis_text, signs)
         if p_out == 0.0:
             continue
         total = 0.0
-        for q in coll:
+        for t in coll:
             mu = 1
-            for i, c in enumerate(q.to_text()):
+            for i, c in enumerate(h.string(t).to_text()):
                 if c != "I":
                     mu *= signs[i]
-            total += h.terms[q] * mu
+            total += h.coeffs[t] * mu
         yield p_out, total
 
 
@@ -184,9 +222,9 @@ def strings_qubitwise_commute(s, t):
     return all(a == "I" or b == "I" or a == b for a, b in zip(s, t))
 
 
-def coloring_is_proper(collections):
+def coloring_is_proper(h, collections):
     for coll in collections:
-        texts = [q.to_text() for q in coll]
+        texts = [h.string(t).to_text() for t in coll]
         for a in range(len(texts)):
             for b in range(a + 1, len(texts)):
                 if not strings_qubitwise_commute(texts[a], texts[b]):
@@ -202,8 +240,6 @@ def product_state_density(signs):
 
 def random_hamiltonian(rng, n, max_terms, include_identity=True,
                        zero_free_beta_safe=False):
-    from lbcs import ObservableSum, PauliString
-
     count = int(rng.integers(1, max_terms + 1))
     terms = {}
     tries = 0
@@ -215,7 +251,7 @@ def random_hamiltonian(rng, n, max_terms, include_identity=True,
         q = PauliString.from_labels([int(c) for c in labels])
         terms[q] = float(rng.uniform(-1, 1)) or 0.5
     ident = float(rng.uniform(-1, 1)) if include_identity else 0.0
-    return ObservableSum(n, terms, ident)
+    return observable(n, terms, ident)
 
 
 def random_state(rng, n):
@@ -259,14 +295,15 @@ def _report(estimates, shots, seed):
 
 def l1_reference(h, v, shots, seed):
     """The l1 sampler holding all shots at once: draw every term index from
-    gamma (terms in the Pauli total order), then every sign uniform; a
-    shot's sign is +1 with probability (1 + <v|P|v>) / 2."""
-    from lbcs import gamma_distribution, l1_norm
+    gamma = |alpha| / l1 norm (terms sorted by text, the Pauli total
+    order), then every sign uniform; a shot's sign is +1 with probability
+    (1 + <v|P|v>) / 2."""
+    from lbcs import l1_norm
 
-    gamma = gamma_distribution(h)
-    terms = sorted(gamma)
-    probs = np.array([gamma[q] for q in terms])
-    signs = np.array([np.sign(h.terms[q]) for q in terms])
+    coeffs = term_dict(h)
+    terms = sorted(coeffs, key=PauliString.to_text)
+    probs = np.array([abs(coeffs[q]) for q in terms]) / l1_norm(h)
+    signs = np.array([np.sign(coeffs[q]) for q in terms])
     means = v.pauli_traces(*masks(terms))
     rng = np.random.Generator(np.random.Philox(key=seed))
     which = _sample_index(probs, rng.random(shots))
@@ -289,13 +326,13 @@ def grouping_reference(h, scheme, v, shots, seed):
     for k in np.unique(which):
         sel = np.nonzero(which == k)[0]
         coll = scheme.collections[k]
-        if not coll:
+        if not coll.size:
             estimates[sel] = h.identity_coefficient
             continue
         probs = born_probabilities(v, scheme.bases[k])
         outcomes = _sample_index(probs, u[sel]).astype(np.uint64)
-        weights = np.array([h.terms[q] for q in coll]) / scheme.kappa[k]
-        masks = np.array([q.support_mask for q in coll], dtype=np.uint64)
+        weights = h.coeffs[coll] / scheme.kappa[k]
+        masks = h.supp[coll]
         signs = 1.0 - 2.0 * (np.bitwise_count(outcomes[:, None] & masks) & 1)
         estimates[sel] = h.identity_coefficient + signs @ weights
     return _report(estimates, shots, seed)
@@ -337,13 +374,14 @@ def single_shot_estimate(h: ObservableSum, record: MeasurementRecord,
     if h.n != record.basis.n:
         raise PauliError("qubit count mismatch between H and record")
     total = h.identity_coefficient
-    for q, a in h.terms.items():
+    for q, a in term_dict(h).items():
         f = f_factor(record.basis, q, beta)
         if f == 0.0:
             continue
         mu = 1
-        for i in q.support():
-            mu *= record.outcomes[i]
+        for i, c in enumerate(q.to_text()):
+            if c != "I":
+                mu *= record.outcomes[i]
         total += a * f * mu
     return total
 

@@ -19,7 +19,6 @@ from lbcs import (BetaDistribution, MultiReference, PauliString,
                   ldf_coloring, load_observable, optimize, parse_observable,
                   run_protocol, uniform_beta)
 from lbcs.cli import main
-from lbcs.hamiltonian import ObservableSum
 from lbcs.states import observable_expectation
 
 import oracles
@@ -214,14 +213,14 @@ def test_criterion_09_single_pauli_uniform_bound():
             labels = [(code // 4 ** i) % 4 for i in reversed(range(n))]
             q = PauliString.from_labels(labels)
             alpha = float(rng.uniform(0.2, 2.0)) * float(rng.choice([-1.0, 1.0]))
-            h = ObservableSum(n, {q: alpha})
+            h = oracles.observable(n, {q: alpha})
             v = oracles.random_state(rng, n)
             mean = alpha * v.pauli_traces(*oracles.masks([q]))[0]
             var = exact_variance(h, v, uniform_beta(n))
-            want = 3.0 ** q.weight() * alpha ** 2 - mean ** 2
+            want = 3.0 ** q.support_mask.bit_count() * alpha ** 2 - mean ** 2
             worst = max(worst, abs(var - want))
             ok = ok and abs(var - want) < 1e-10
-            ok = ok and var <= 4.0 ** q.weight() * alpha ** 2 + 1e-10
+            ok = ok and var <= 4.0 ** q.support_mask.bit_count() * alpha ** 2 + 1e-10
     _report(9, "single-Pauli uniform-shadow bound", ok,
             f"max |diff| = {worst:.2e}")
 
@@ -234,9 +233,9 @@ def test_criterion_10_ldf_coloring_bound():
         h = oracles.random_hamiltonian(rng, n, max_terms=10)
         graph = build_term_graph(h)
         colls = ldf_coloring(graph)
-        ok = ok and oracles.coloring_is_proper(colls)
+        ok = ok and oracles.coloring_is_proper(h, colls)
         ok = ok and len(colls) <= 1 + graph.max_degree()
-        ok = ok and sum(len(c) for c in colls) == len(h.terms)
+        ok = ok and sum(len(c) for c in colls) == h.num_terms()
     _report(10, "LDF proper coloring within degree bound", ok)
 
 

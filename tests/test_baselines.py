@@ -58,41 +58,43 @@ class TestColoring:
             h = oracles.random_hamiltonian(rng, n, max_terms=8)
             graph = build_term_graph(h)
             colls = ldf_coloring(graph)
-            assert oracles.coloring_is_proper(colls)
+            assert oracles.coloring_is_proper(h, colls)
             assert len(colls) <= 1 + graph.max_degree()
-            assert sum(len(c) for c in colls) == len(h.terms)
+            assert sorted(np.concatenate(colls).tolist()) == \
+                list(range(h.num_terms()))
 
     def test_deterministic(self):
         h = parse_observable("1.0 XX\n0.5 YY\n0.25 ZI\n0.125 IZ\n")
         a = ldf_coloring(build_term_graph(h))
         b = ldf_coloring(build_term_graph(h))
-        assert a == b
+        assert [c.tolist() for c in a] == [c.tolist() for c in b]
 
 
 class TestRepresentative:
+    H = parse_observable("1.0 XI\n0.5 IZ\n0.25 YI\n")   # XI, IZ, YI
+
     def test_free_qubits_get_z(self):
-        basis = representative_basis([P("XI"), P("IZ")], 2)
-        assert basis == P("XZ")
+        assert representative_basis(self.H, [0, 1]) == P("XZ")
+        assert representative_basis(self.H, [1]) == P("ZZ")
 
     def test_all_free(self):
-        assert representative_basis([], 2) == P("ZZ")
+        assert representative_basis(self.H, []) == P("ZZ")
 
     def test_conflict_raises(self):
         with pytest.raises(GroupingError, match="qubit 1"):
-            representative_basis([P("XI"), P("YI")], 2)
+            representative_basis(self.H, [0, 2])
 
 
 class TestKappa:
     def test_l1_mass_ratio(self):
         h = parse_observable("3.0 X\n1.0 Y\n")
-        colls = [[P("X")], [P("Y")]]
-        kappa = kappa_weights(h, colls)
+        kappa = kappa_weights(h, [np.array([0]), np.array([1])])
         assert np.allclose(kappa, [0.75, 0.25])
 
     def test_partition_enforced(self):
         h = parse_observable("1.0 X\n1.0 Y\n")
         with pytest.raises(GroupingError, match="partition"):
-            kappa_weights(h, [[P("X")]])
+            kappa_weights(h, [np.array([0])])
 
 
 class TestGroupingScheme:
@@ -101,18 +103,27 @@ class TestGroupingScheme:
         scheme = build_grouping(h)
         path = tmp_path / "scheme.json"
         scheme.save(path)
-        again = GroupingScheme.load(path)
-        assert again.collections == scheme.collections
+        again = GroupingScheme.load(path, h)
+        assert [c.tolist() for c in again.collections] == \
+            [c.tolist() for c in scheme.collections]
         assert again.bases == scheme.bases
         assert np.allclose(again.kappa, scheme.kappa)
 
     def test_misaligned_basis_rejected(self):
-        with pytest.raises(GroupingError):
-            GroupingScheme(1, ((P("X"),),), (P("Z"),), np.array([1.0]))
+        h = parse_observable("1.0 X\n")
+        with pytest.raises(GroupingError, match="does not agree"):
+            GroupingScheme(h, (np.array([0]),), (P("Z"),), np.array([1.0]))
 
     def test_kappa_must_be_probability(self):
+        h = parse_observable("1.0 Z\n")
         with pytest.raises(GroupingError):
-            GroupingScheme(1, ((P("Z"),),), (P("Z"),), np.array([0.5]))
+            GroupingScheme(h, (np.array([0]),), (P("Z"),), np.array([0.5]))
+
+    def test_scheme_of_another_hamiltonian_rejected(self):
+        h = parse_observable("1.0 XX\n0.5 ZI\n")
+        scheme = build_grouping(parse_observable("1.0 XX\n0.5 ZI\n"))
+        with pytest.raises(GroupingError, match="another Hamiltonian"):
+            grouping_protocol(h, scheme, StateVector.from_bits("00"), 10, 1)
 
 
 class TestL1:
@@ -332,7 +343,7 @@ def grouping_instances():
 def oracle_clash(h):
     """clash[a][j]: terms a and j (in term-graph order) are not qubit-wise
     commuting, by the character-level oracle."""
-    texts = [q.to_text() for q in build_term_graph(h).vertices]
+    texts = oracles.term_texts(h)
     return [[not oracles.strings_qubitwise_commute(s, t) for t in texts]
             for s in texts]
 
@@ -368,8 +379,9 @@ SAMPLER_SHOTS = [1, 2, 5000, 70_001]   # the last spans several chunks
 def with_empty_collection(scheme, share=0.2):
     """The scheme plus an empty collection drawn with probability share."""
     kappa = np.append(scheme.kappa * (1.0 - share), share)
-    return GroupingScheme(scheme.n, scheme.collections + ((),),
-                          scheme.bases + (P("Z" * scheme.n),),
+    return GroupingScheme(scheme.h,
+                          scheme.collections + (np.zeros(0, dtype=int),),
+                          scheme.bases + (P("Z" * scheme.h.n),),
                           kappa / kappa.sum())
 
 
@@ -408,8 +420,9 @@ def test_l1_protocol_matches_reference(shots):
 
 def test_empty_collection_shots_report_identity_coefficient():
     h = parse_observable("0.75 II\n1.0 ZI\n1.0 IZ\n")
-    scheme = GroupingScheme(2, ((), (P("ZI"), P("IZ"))), (P("ZZ"), P("ZZ")),
-                            np.array([0.5, 0.5]))
+    scheme = GroupingScheme.from_dict({"collections": [[], ["ZI", "IZ"]],
+                                       "bases": ["ZZ", "ZZ"],
+                                       "kappa": [0.5, 0.5]}, h)
     report = grouping_protocol(h, scheme, StateVector.from_bits("00"),
                                4000, seed=1)
     # empty-collection shots give 0.75, the others 0.75 + 2 / 0.5

@@ -320,6 +320,15 @@ ERROR_CASES = [
     pytest.param(["optimize", "--cost", "diag", "--out", "{tmp}/beta.json"],
                  H70, {}, "70 qubits", id="optimize-70-qubits"),
     pytest.param(["group"], H70, {}, "70 qubits", id="group-70-qubits"),
+    pytest.param(["optimize", "--cost", "diag", "--max-iter", "0",
+                  "--out", "{tmp}/beta.json"], H3, {}, "max_iterations",
+                 id="optimize-max-iter-0"),
+    pytest.param(["compare", "--bits", "00", "--delta", "2"], H3, {},
+                 "step must lie in (0, 1)", id="compare-delta-2"),
+    pytest.param(["compare", "--bits", "11111"], H3, {},
+                 "reference state size mismatch", id="compare-bits-5-qubits"),
+    pytest.param(["simulate", "--estimator", "l1", "--shots", "0"], H3, {},
+                 "shots must be >= 1", id="simulate-0-shots"),
 ]
 
 

@@ -5,7 +5,7 @@ from lbcs import (BetaDistribution, MultiReference, SingleReference,
                   parse_observable, uniform_beta, cost_diag, cost_full,
                   cost_multiref, optimize, exact_variance, OptimizerConfig)
 from lbcs.optimizer import DivergenceWarning, _cost_moment, _rows_from_num
-from lbcs.shadows import _TermData, reciprocal
+from lbcs.shadows import reciprocal
 from lbcs.states import observable_expectation
 
 import oracles
@@ -60,7 +60,7 @@ class TestCosts:
             signs = oracles.random_signs(rng, n)
             ref = SingleReference(signs)
             mean0 = observable_expectation(
-                h, ref.to_statevector()) - h.identity_coefficient
+                h, oracles.reference_statevector(ref)) - h.identity_coefficient
             var = exact_variance(h, ref, beta)
             assert cost_full(h, ref, beta) == \
                 pytest.approx(var + mean0 ** 2, abs=1e-9)
@@ -72,7 +72,7 @@ class TestCosts:
             beta = oracles.random_beta(rng, n)
             ref = SingleReference(oracles.random_signs(rng, n))
             want = traceless_second_moment(
-                h, ref.to_statevector().amplitudes, beta)
+                h, oracles.reference_statevector(ref).amplitudes, beta)
             assert cost_full(h, ref, beta) == pytest.approx(want, abs=1e-9)
 
     def test_cost_multiref_equals_enumerated_second_moment(self, rng):
@@ -82,7 +82,7 @@ class TestCosts:
             beta = oracles.random_beta(rng, n)
             ref = random_multireference(rng, n)
             want = traceless_second_moment(
-                h, ref.to_statevector().amplitudes, beta)
+                h, oracles.reference_statevector(ref).amplitudes, beta)
             assert cost_multiref(h, ref, beta) == \
                 pytest.approx(want, abs=1e-9)
 
@@ -102,7 +102,7 @@ class TestCosts:
             amps = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             amps = tuple(amps / np.linalg.norm(amps))
             ref = MultiReference(bits, amps)
-            v = ref.to_statevector()
+            v = oracles.reference_statevector(ref)
             mean0 = observable_expectation(h, v) - h.identity_coefficient
             want = exact_variance(h, v, beta) + mean0 ** 2
             assert cost_multiref(h, ref, beta) == pytest.approx(want, abs=1e-9)
@@ -138,7 +138,7 @@ class TestCosts:
 def lagrange_rows(h, beta, reference=None):
     """One undamped closed-form step of the cost (diag without a
     reference), unfloored: the rows the optimizer steps towards."""
-    moment = _cost_moment(_TermData(h), reference)
+    moment = _cost_moment(h, reference)
     rows, _, _ = _rows_from_num(moment.numerators(reciprocal(beta)),
                                 beta.rows, 0.0)
     return rows
@@ -189,7 +189,7 @@ class TestRowIdentity:
             reference = {"diag": None,
                          "full": SingleReference(oracles.random_signs(rng, n)),
                          "multiref": random_multireference(rng, n)}[kind]
-            moment = _cost_moment(_TermData(h), reference)
+            moment = _cost_moment(h, reference)
             beta = oracles.random_beta(rng, n).rows
             cost = moment.value(1.0 / beta)
             got = moment.numerators(1.0 / beta)
@@ -248,3 +248,6 @@ class TestOptimize:
             OptimizerConfig(step=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(tolerance=0.0)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_iterations"):
+                OptimizerConfig(max_iterations=bad)

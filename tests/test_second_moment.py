@@ -21,7 +21,7 @@ from lbcs.cli import main
 from lbcs.pauli import PauliError
 from lbcs import shadows, states
 from lbcs.optimizer import DivergenceWarning
-from lbcs.shadows import _TermData, compatible_pairs
+from lbcs.shadows import compatible_pairs
 
 import oracles
 
@@ -312,7 +312,7 @@ def test_trace_oracles_match_dense(rng, monkeypatch, kind):
             v = state.amplitudes
         elif kind == "single":
             state = SingleReference(oracles.random_signs(rng, n))
-            v = state.to_statevector().amplitudes
+            v = oracles.reference_statevector(state).amplitudes
         else:
             k = int(rng.integers(1, min(4, 1 << n) + 1))
             idxs = rng.choice(1 << n, size=k, replace=False)
@@ -320,7 +320,7 @@ def test_trace_oracles_match_dense(rng, monkeypatch, kind):
             state = MultiReference(
                 tuple(format(int(b), f"0{n}b") for b in idxs),
                 tuple(amps / np.linalg.norm(amps)))
-            v = state.to_statevector().amplitudes
+            v = oracles.reference_statevector(state).amplitudes
         x, z, texts = random_strings(rng, n, 40)
         want = [np.vdot(v, oracles.dense_from_text(t) @ v).real
                 for t in texts]
@@ -333,12 +333,11 @@ def test_compatible_pairs_in_blocks(rng, monkeypatch):
     for _ in range(10):
         n = int(rng.integers(1, 6))
         h = oracles.random_hamiltonian(rng, n, max_terms=12)
-        data = _TermData(h)
-        texts = [q.to_text() for q in data.strings]
-        want = [(a, j) for a in range(data.count)
-                for j in range(a, data.count)
+        texts = oracles.term_texts(h)
+        want = [(a, j) for a in range(len(texts))
+                for j in range(a, len(texts))
                 if oracles.strings_qubitwise_commute(texts[a], texts[j])]
-        got = list(zip(*(p.tolist() for p in compatible_pairs(data))))
+        got = list(zip(*(p.tolist() for p in compatible_pairs(h))))
         assert got == want
 
 

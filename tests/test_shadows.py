@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbcs import (BetaDistribution, ObservableSum, PauliString, StateVector,
+from lbcs import (BetaDistribution, PauliString, StateVector,
                   SingleReference, MultiReference, uniform_beta, run_protocol,
                   exact_variance, parse_observable, build_grouping,
                   grouping_protocol, l1_protocol)
@@ -36,11 +36,12 @@ class TestBetaDistribution:
             BetaDistribution(2, np.array([[1.0, 0.0, 0.0]]))
 
     def test_probability_by_label(self):
+        # column label - 1 of a row holds beta(label) on that qubit
         beta = BetaDistribution(1, np.array([[0.2, 0.3, 0.5]]))
         from lbcs.pauli import X, Y, Z
-        assert beta.probability(0, X) == 0.2
-        assert beta.probability(0, Y) == 0.3
-        assert beta.probability(0, Z) == 0.5
+        assert beta.rows[0, X - 1] == 0.2
+        assert beta.rows[0, Y - 1] == 0.3
+        assert beta.rows[0, Z - 1] == 0.5
 
     def test_rows_read_only(self):
         beta = uniform_beta(2)
@@ -180,7 +181,7 @@ class TestRunProtocolDifferential:
             self.check(h, v, beta, 300, 100 + case)
 
     def test_identity_only_hamiltonian(self, rng):
-        h = ObservableSum(3, {}, 1.25)
+        h = oracles.observable(3, {}, 1.25)
         v = oracles.random_state(rng, 3)
         self.check(h, v, oracles.random_beta(rng, 3), 50, 3)
         report = run_protocol(h, v, uniform_beta(3), 50, 3)
@@ -243,7 +244,7 @@ def local_hamiltonian(rng, n, count):
         k = int(rng.integers(1, 5))
         labels[rng.choice(n, k, replace=False)] = rng.integers(1, 4, k)
         terms[PauliString.from_labels(labels.tolist())] = rng.uniform(-1, 1)
-    return ObservableSum(n, terms, 0.0)
+    return oracles.observable(n, terms)
 
 
 @pytest.mark.parametrize("n,shots", [(12, 20_000), (14, 4096)])
@@ -329,7 +330,10 @@ class TestExactVariance:
         h = oracles.random_hamiltonian(rng, 2, max_terms=4)
         v = oracles.random_state(rng, 2)
         beta = oracles.random_beta(rng, 2)
-        assert exact_variance(h.scaled(2.0), v, beta) == \
+        doubled = oracles.observable(
+            2, {q: 2.0 * a for q, a in oracles.term_dict(h).items()},
+            2.0 * h.identity_coefficient)
+        assert exact_variance(doubled, v, beta) == \
             pytest.approx(4.0 * exact_variance(h, v, beta))
 
     def test_divergence_detected(self):
@@ -347,7 +351,7 @@ class TestExactVariance:
             bits = "".join(str(int(b)) for b in rng.integers(0, 2, n))
             ref = SingleReference.from_bits(bits)
             got = exact_variance(h, ref, beta)
-            want = exact_variance(h, ref.to_statevector(), beta)
+            want = exact_variance(h, oracles.reference_statevector(ref), beta)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_multi_reference_matches_statevector(self, rng):
@@ -362,7 +366,7 @@ class TestExactVariance:
             amps = tuple(amps / np.linalg.norm(amps))
             ref = MultiReference(bits, amps)
             got = exact_variance(h, ref, beta)
-            want = exact_variance(h, ref.to_statevector(), beta)
+            want = exact_variance(h, oracles.reference_statevector(ref), beta)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_matches_enumeration_oracle(self, rng):
