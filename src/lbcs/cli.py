@@ -27,8 +27,8 @@ from .hamiltonian import (HamiltonianFormatError, ObservableSum, l1_norm,
                           load_observable)
 from .optimizer import OptimizerConfig, optimize
 from .pauli import PauliError
-from .shadows import (BetaDistribution, DivergenceError, exact_variance,
-                      run_protocol, uniform_beta)
+from .shadows import (BetaDistribution, DivergenceError, _check_divergence,
+                      exact_variance, run_protocol, uniform_beta)
 from .states import (ConvergenceError, SingleReference, StateError,
                      StateVector, apply_observable_raw,
                      check_statevector_qubits, lanczos_ground,
@@ -179,6 +179,8 @@ def cmd_variance(args) -> int:
             raise HamiltonianFormatError(f"unknown estimator {name!r}")
     beta = (_load_beta(args.beta, h.n)
             if args.beta or "lbcs" in estimators else None)
+    if "lbcs" in estimators:
+        _check_divergence(h, beta)
     scheme = GroupingScheme.load(args.scheme, h) if args.scheme else None
     state, _ = _resolve_state(h, args.state, args.tol, args.max_iter,
                               args.seed)
@@ -194,6 +196,7 @@ def cmd_simulate(args) -> int:
     h = load_observable(args.hamiltonian)
     beta = (_load_beta(args.beta, h.n) if args.estimator == "lbcs"
             else uniform_beta(h.n))
+    _check_divergence(h, beta)
     scheme = (GroupingScheme.load(args.scheme, h)
               if args.estimator == "ldf" and args.scheme else None)
     if args.shots < 1:

@@ -9,15 +9,17 @@ Monte Carlo sampling uses a counter-based Philox generator keyed by the
 run seed, consumed in a fixed order (all basis draws, then all outcome
 draws), so results are reproducible bit-for-bit.  ``run_protocol`` streams
 shots in chunks of ``_SAMPLER_CHUNK``: it reads each chunk's uniforms at
-their place in that order, draws every shot's outcome qubit by qubit from
-the basis-rotated amplitudes (``sample_outcome_indices``), and evaluates
-the estimates with uint64 mask algebra over H's term table.  Two caps fix
-its working set: a trie level holds at most ``_TRIE_AMPLITUDES``
-amplitudes of child blocks at once (more are walked in batches of whole
-subtrees), and an estimate table at most ``_ESTIMATE_ENTRIES`` shot-term
-entries (more are taken a slice of shots at a time).  Neither changes a
-float.  Its differential reference, one ``measure_state`` and
-``single_shot_estimate`` per shot, lives in ``tests/oracles.py``.
+their place in that order, draws its bases as uint8 label codes, draws
+every shot's outcome qubit by qubit from the basis-rotated amplitudes
+(``sample_outcome_indices``), and evaluates the estimates with uint64 mask
+algebra over H's term table.  Three caps fix its working set: the basis
+uniforms are drawn about ``_LABEL_BLOCK`` at a time, a trie level holds
+at most ``_TRIE_AMPLITUDES`` amplitudes of child blocks at once (more are
+walked in batches of whole subtrees), and an estimate table at most
+``_ESTIMATE_ENTRIES`` shot-term entries (more are taken a slice of shots
+at a time).  None of them changes a float.  Its differential reference,
+one ``measure_state`` and ``single_shot_estimate`` per shot, lives in
+``tests/oracles.py``.
 
 Every routine here reads the terms from the arrays of ``ObservableSum``
 (masks, coefficients, label codes, supports), in its canonical order.
@@ -129,15 +131,25 @@ def make_rng(seed: int) -> np.random.Generator:
 
 # -- sampling ------------------------------------------------------------
 
+_LABEL_BLOCK = 1 << 16   # uniforms of one block of basis draws
+
+
 def sample_basis_labels(beta: BetaDistribution, shots: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """(shots, n) label codes in {X, Y, Z}, drawn independently per qubit."""
-    u = rng.random((shots, beta.n))
-    labels = np.empty((shots, beta.n), dtype=np.int64)
-    for i in range(beta.n):
-        cum = np.cumsum(beta.rows[i])
-        cum[-1] = 1.0
-        labels[:, i] = np.searchsorted(cum, u[:, i], side="right") + 1
+    """(shots, n) uint8 label codes in {X, Y, Z}, drawn independently per
+    qubit.  Shot s reads the uniforms s*n .. s*n + n - 1 of the stream and
+    takes label 1 + #{c in (cum X, cum Y) : c <= u} on each qubit, where
+    cum is the qubit's beta CDF.  The uniforms are drawn about
+    ``_LABEL_BLOCK`` at a time, in whole rows."""
+    cum = np.cumsum(beta.rows, axis=1)
+    labels = np.empty((shots, beta.n), dtype=np.uint8)
+    rows = max(1, _LABEL_BLOCK // max(beta.n, 1))
+    for start in range(0, shots, rows):
+        block = labels[start:start + rows]
+        u = rng.random(block.shape)
+        block[...] = 1
+        block += u >= cum[:, 0]
+        block += u >= cum[:, 1]
     return labels
 
 
@@ -277,9 +289,14 @@ def _chunk_estimates(h: ObservableSum, weights: np.ndarray,
     """
     count = h.num_terms()
     n = np.uint64(h.n)
-    place = np.uint64(1) << np.arange(h.n - 1, -1, -1, dtype=np.uint64)
-    x_b = ((labels != Z) * place).sum(axis=1, dtype=np.uint64)
-    z_b = ((labels != X) * place).sum(axis=1, dtype=np.uint64)
+    one = np.uint64(1)
+    x_b = np.zeros(labels.shape[0], dtype=np.uint64)
+    z_b = np.zeros(labels.shape[0], dtype=np.uint64)
+    for codes in labels.T:      # qubit 1 ends as the most significant bit
+        x_b <<= one
+        x_b |= codes != Z
+        z_b <<= one
+        z_b |= codes != X
     basis = (x_b << n) | z_b
     term_masks = (h.x << n) | h.z
     supp = (h.supp << n) | h.supp
@@ -329,8 +346,9 @@ def run_protocol(h: ObservableSum, v: StateVector, beta: BetaDistribution,
         raise ValueError("shots must be >= 1")
     if h.n != v.n or beta.n != h.n:
         raise PauliError("qubit count mismatch")
-    # a term touching a zero-probability label never agrees with a
-    # sampled basis, and its reciprocal factor is 0
+    # a term needing a zero-probability label would never agree with a
+    # drawn basis and drop out of the mean unnoticed
+    _check_divergence(h, beta)
     weights = h.coeffs * inverse_factors(h.labels.T, reciprocal(beta))
 
     basis_rng = make_rng(seed)

@@ -4,6 +4,11 @@ Basis index convention: the bitstring b1 b2 ... bn is read as a
 big-endian integer, so qubit 1 (leftmost in the Pauli text form) is the
 most significant bit.  Pauli application is a bit-indexed amplitude
 permutation with sign/phase factors; no 2^n x 2^n matrix is formed.
+
+``lanczos_ground`` is the one routine that needs scipy (ARPACK's
+``eigsh``).  It imports it where the iterative solve starts, after the
+qubit limit is checked and past the dense path of dimension <= 32, so a
+command that does not solve for a ground state never loads scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .hamiltonian import ObservableSum
 from .pauli import I, X, Y, Z, PauliError, PauliString
@@ -286,6 +290,9 @@ def lanczos_ground(h: ObservableSum, tolerance: float = 1e-10,
             vec = vec * (overlap / abs(overlap))
         state = StateVector(h.n, vec / np.linalg.norm(vec))
         return energy, state
+
+    # imported here, so that only the eigensolve loads scipy
+    from scipy.sparse.linalg import LinearOperator, eigsh
 
     op = LinearOperator(
         (dim, dim),

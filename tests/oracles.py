@@ -293,6 +293,37 @@ def _report(estimates, shots, seed):
     return EstimateReport(float(estimates.mean()), var, shots, seed)
 
 
+def basis_labels_at_once(beta, shots, rng):
+    """(shots, n) int64 label codes from one (shots, n) block of uniforms,
+    inverting each qubit's beta CDF; the differential reference of the
+    blocked ``shadows.sample_basis_labels``."""
+    u = rng.random((shots, beta.n))
+    labels = np.empty((shots, beta.n), dtype=np.int64)
+    for i in range(beta.n):
+        cum = np.cumsum(beta.rows[i])
+        cum[-1] = 1.0
+        labels[:, i] = np.searchsorted(cum, u[:, i], side="right") + 1
+    return labels
+
+
+def chunk_estimates_by_products(h, weights, labels, outcomes):
+    """``shadows._chunk_estimates`` with the basis words packed through
+    (shots x n) uint64 products of the label codes and the bit places,
+    and the whole (shots x terms) table at once."""
+    from lbcs.pauli import X, Z
+
+    n = np.uint64(h.n)
+    place = np.uint64(1) << np.arange(h.n - 1, -1, -1, dtype=np.uint64)
+    x_b = ((labels != Z) * place).sum(axis=1, dtype=np.uint64)
+    z_b = ((labels != X) * place).sum(axis=1, dtype=np.uint64)
+    miss = ((x_b << n) | z_b)[:, None] ^ ((h.x << n) | h.z)
+    miss &= (h.supp << n) | h.supp
+    shot, term = np.nonzero(miss == 0)
+    signs = 1.0 - 2.0 * (np.bitwise_count(outcomes[shot] & h.supp[term]) & 1)
+    return np.bincount(shot, weights=signs * weights[term],
+                       minlength=labels.shape[0])
+
+
 def l1_reference(h, v, shots, seed):
     """The l1 sampler holding all shots at once: draw every term index from
     gamma = |alpha| / l1 norm (terms sorted by text, the Pauli total

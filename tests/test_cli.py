@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +385,89 @@ def test_statevector_size_limit_exits_2(capsys, monkeypatch, tmp_path, argv):
     assert captured.out == ""
     assert captured.err == ("error: a 4-qubit statevector is above the "
                             "limit of 3 qubits\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--estimator", "lbcs", "--shots", "100"],
+    ["variance", "--estimator", "l1,lbcs"],
+], ids=["simulate", "variance"])
+def test_divergent_beta_exits_2_before_the_eigensolve(
+        capsys, monkeypatch, tmp_path, argv):
+    # beta(X) = 0 on qubit 1, where the term XI needs it
+    monkeypatch.setattr(cli, "lanczos_ground", no_eigensolve)
+    (tmp_path / "h.txt").write_text("1.0 XI\n0.5 ZZ\n")
+    BetaDistribution(2, np.array([[0.0, 0.5, 0.5], [0.2, 0.3, 0.5]])).save(
+        tmp_path / "beta.json")
+    code = main(argv + ["--hamiltonian", str(tmp_path / "h.txt"),
+                        "--beta", str(tmp_path / "beta.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: beta(X) vanishes on qubit 1 but a "
+                            "Hamiltonian term is supported there; the "
+                            "variance diverges\n")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+H6 = "1.0 ZZIIII\n0.5 XIXIII\n-0.3 IYYZII\n0.7 IIIXXZ\n0.2 ZIIIIY\n"
+
+
+def scipy_modules_after(argv, folder):
+    """The scipy modules a fresh interpreter holds after ``import lbcs,
+    lbcs.cli`` and, when ``argv`` is given, one ``cli.main(argv)`` call
+    that must exit 0."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import lbcs, lbcs.cli\n"
+        f"argv = {argv!r}\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert lbcs.cli.main(argv) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'scipy')))\n")
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=folder,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+NO_SOLVE_COMMANDS = {
+    "import": None,
+    **{f"simulate-{est}": ["simulate", "--estimator", est, "--shots", "300",
+                           "--state", "v.npy", "--beta", "beta.json"]
+       for est in ("l1", "ldf", "shadows", "lbcs")},
+    "variance": ["variance", "--estimator", "l1,ldf,shadows,lbcs",
+                 "--state", "v.npy", "--beta", "beta.json"],
+    "group": ["group"],
+    "optimize-diag": ["optimize", "--cost", "diag", "--out", "b.json"],
+}
+
+
+@pytest.fixture
+def h6_inputs(tmp_path):
+    (tmp_path / "h.txt").write_text(H6)
+    amps = np.random.default_rng(6).standard_normal(64)
+    np.save(tmp_path / "v.npy", amps / np.linalg.norm(amps))
+    BetaDistribution(6, np.full((6, 3), 1 / 3)).save(tmp_path / "beta.json")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", NO_SOLVE_COMMANDS.values(),
+                         ids=NO_SOLVE_COMMANDS.keys())
+def test_commands_without_eigensolve_load_no_scipy(h6_inputs, argv):
+    if argv:
+        argv = argv[:1] + ["--hamiltonian", "h.txt"] + argv[1:]
+    assert scipy_modules_after(argv, h6_inputs) == []
+
+
+def test_eigensolve_loads_scipy(h6_inputs):
+    # the control of the test above: a 64-amplitude ground state is
+    # solved by eigsh
+    assert "scipy.sparse.linalg" in scipy_modules_after(
+        ["ground", "--hamiltonian", "h.txt"], h6_inputs)
 
 
 @pytest.mark.parametrize("name,fragment", [

@@ -89,6 +89,57 @@ class TestSampling:
         assert r1 == r2
 
 
+def beta_with_zeros(rng, n):
+    """Random beta rows with about a third of their entries exactly 0."""
+    rows = rng.uniform(0.1, 1.0, size=(n, 3))
+    rows[rng.random((n, 3)) < 0.3] = 0.0
+    rows[rows.sum(axis=1) == 0.0, 1] = 1.0
+    return BetaDistribution(n, rows / rows.sum(axis=1, keepdims=True))
+
+
+class TestBasisLabelBlocks:
+    """sample_basis_labels against the all-at-once draw it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 20])
+    def test_labels_equal_all_at_once(self, rng, n):
+        rows = (1 << 16) // n       # basis draws of one block
+        for shots in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+            beta = beta_with_zeros(rng, n)
+            got_rng, want_rng = make_rng(shots), make_rng(shots)
+            got = sample_basis_labels(beta, shots, got_rng)
+            want = oracles.basis_labels_at_once(beta, shots, want_rng)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want)
+            # the stream is left where the single draw leaves it
+            assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 20])
+    def test_labels_independent_of_block(self, rng, monkeypatch, n):
+        beta = beta_with_zeros(rng, n)
+        want = oracles.basis_labels_at_once(beta, 50, make_rng(3))
+        # one to seven basis draws per block
+        monkeypatch.setattr(shadows, "_LABEL_BLOCK", 7)
+        assert np.array_equal(sample_basis_labels(beta, 50, make_rng(3)),
+                              want)
+
+    @pytest.mark.parametrize("n,count", [(1, 3), (5, 40), (12, 300)])
+    def test_chunk_estimates_equal_products(self, rng, monkeypatch, n,
+                                            count):
+        h = local_hamiltonian(rng, n, count) if n > 1 else \
+            oracles.observable(1, {P("X"): 0.5, P("Y"): -1.0, P("Z"): 2.0})
+        beta = oracles.random_beta(rng, n)
+        labels = sample_basis_labels(beta, 2000, make_rng(n))
+        outcomes = rng.integers(0, 1 << n, size=2000).astype(np.uint64)
+        weights = rng.uniform(-3.0, 3.0, size=h.num_terms())
+        want = oracles.chunk_estimates_by_products(h, weights, labels,
+                                                   outcomes)
+        assert np.array_equal(
+            shadows._chunk_estimates(h, weights, labels, outcomes), want)
+        monkeypatch.setattr(shadows, "_ESTIMATE_ENTRIES", 5)
+        assert np.array_equal(
+            shadows._chunk_estimates(h, weights, labels, outcomes), want)
+
+
 class TestSingleShot:
     def test_uniform_matched(self):
         h = parse_observable("1.0 Z\n")
@@ -170,15 +221,29 @@ class TestRunProtocolDifferential:
             self.check(h, v, beta, int(rng.integers(1, 400)), case)
 
     def test_beta_with_exact_zeros(self, rng):
+        # zeros on labels that no term needs are sampled around; a zero
+        # on a needed label makes the variance diverge and is rejected
+        def beta_of(rows):
+            rows[rows.sum(axis=1) == 0.0, 2] = 1.0
+            return BetaDistribution(rows.shape[0],
+                                    rows / rows.sum(axis=1, keepdims=True))
+
+        zeros = diverging = 0
         for case in range(6):
             n = int(rng.integers(2, 7))
             h = oracles.random_hamiltonian(rng, n, max_terms=8)
             v = oracles.random_state(rng, n)
             rows = rng.uniform(0.1, 1.0, size=(n, 3))
-            rows[rng.random((n, 3)) < 0.3] = 0.0
-            rows[rows.sum(axis=1) == 0.0, 2] = 1.0
-            beta = BetaDistribution(n, rows / rows.sum(axis=1, keepdims=True))
+            zero = rng.random((n, 3)) < 0.3
+            beta = beta_of(np.where(zero & ~h.needed, 0.0, rows))
+            zeros += int(np.sum(beta.rows == 0.0))
             self.check(h, v, beta, 300, 100 + case)
+            beta = beta_of(np.where(zero, 0.0, rows))
+            if np.any((beta.rows == 0.0) & h.needed):
+                diverging += 1
+                with pytest.raises(DivergenceError):
+                    run_protocol(h, v, beta, 300, 100 + case)
+        assert zeros and diverging
 
     def test_identity_only_hamiltonian(self, rng):
         h = oracles.observable(3, {}, 1.25)
@@ -266,19 +331,34 @@ GOLDEN_H = """0.7 IIIII
 -0.9 IIIIZ
 """
 
+
+def golden_beta(row3):
+    """The golden beta, with qubit 3's row given."""
+    return BetaDistribution(5, np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6],
+                                         row3, [0.1, 0.8, 0.1],
+                                         [0.25, 0.25, 0.5]]))
+
+
+def golden_state():
+    rng = make_rng(2718)
+    amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    return StateVector(5, amps / np.linalg.norm(amps))
+
+
 # (protocol, seed, shots, mean, variance), recorded from the per-basis
-# sampler that the qubit-by-qubit one replaced
+# sampler that the qubit-by-qubit one replaced; the lbcs rows from the
+# all-at-once basis draws that the blocked ones replaced
 GOLDEN_REPORTS = [
     ("shadows", 0, 1, 4.75, 0.0),
     ("lbcs", 0, 1, 4.0, 0.0),
     ("ldf", 0, 1, -0.8499999999999999, 0.0),
     ("l1", 0, 1, -3.95, 0.0),
     ("shadows", 7, 1001, 1.4156843156843155, 51.71162875624376),
-    ("lbcs", 7, 1001, 1.3264402264402264, 58.76293799311799),
+    ("lbcs", 7, 1001, 2.360335960335961, 407.57041621952754),
     ("ldf", 7, 1001, 1.3994077351220209, 12.573790312136843),
     ("l1", 7, 1001, 1.5500999000999007, 20.920729990009992),
     ("shadows", 2026, 6000, 1.6219750000000002, 79.28368479684114),
-    ("lbcs", 2026, 6000, 1.0999166666666667, 52.49051081893279),
+    ("lbcs", 2026, 6000, 1.1991333333333345, 285.9669146811702),
     ("ldf", 2026, 6000, 1.4515095238095244, 12.390006463911789),
     ("l1", 2026, 6000, 1.5261500000000006, 20.94346675529255),
 ]
@@ -287,12 +367,8 @@ GOLDEN_REPORTS = [
 @pytest.mark.parametrize("protocol,seed,shots,mean,variance", GOLDEN_REPORTS)
 def test_golden_reports(protocol, seed, shots, mean, variance):
     h = parse_observable(GOLDEN_H)
-    rng = make_rng(2718)
-    amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    v = StateVector(5, amps / np.linalg.norm(amps))
-    beta = BetaDistribution(5, np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6],
-                                         [0.5, 0.0, 0.5], [0.1, 0.8, 0.1],
-                                         [0.25, 0.25, 0.5]]))
+    v = golden_state()
+    beta = golden_beta([0.5, 0.05, 0.45])
     report = {
         "shadows": lambda: run_protocol(h, v, uniform_beta(5), shots, seed),
         "lbcs": lambda: run_protocol(h, v, beta, shots, seed),
@@ -302,6 +378,17 @@ def test_golden_reports(protocol, seed, shots, mean, variance):
     assert (report.shots, report.seed) == (shots, seed)
     assert report.mean == pytest.approx(mean, rel=1e-12, abs=1e-12)
     assert report.variance == pytest.approx(variance, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed,shots", [(0, 1), (7, 1001), (2026, 6000)])
+def test_golden_beta_with_vanishing_needed_label_diverges(seed, shots):
+    # beta(Y) = 0 on qubit 3, where IYYIZ and IIYXI carry Y: those terms
+    # never agree with a drawn basis, so the mean would silently drop them
+    beta = golden_beta([0.5, 0.0, 0.5])
+    with pytest.raises(DivergenceError,
+                       match=r"beta\(Y\) vanishes on qubit 3"):
+        run_protocol(parse_observable(GOLDEN_H), golden_state(), beta,
+                     shots, seed)
 
 
 class TestExactVariance:
