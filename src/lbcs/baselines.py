@@ -3,8 +3,8 @@
 Both draw a measurement basis per shot, read out single qubits, and
 rescale by the inverse sampling weight.  Grouping colors the term graph
 greedily, largest degree first.  Its edges join the pairs that are not
-qubit-wise commuting (XX and YY commute but clash); they come from
-``shadows.clash_matrix``, the test ``compatible_pairs`` also uses.  Colors
+qubit-wise commuting (XX and YY commute but clash); it is stored as their
+complement, the pair list ``h.pairs`` the variances also read.  Colors
 become qubit-wise-commuting collections measured in one shared basis each.
 
 Both samplers stream shots in chunks of ``_SAMPLER_CHUNK``, so memory
@@ -30,8 +30,7 @@ import numpy as np
 from .hamiltonian import HamiltonianFormatError, ObservableSum, l1_norm
 from .pauli import I, Z, PauliError, PauliString, agrees_with_basis
 from .shadows import (_SAMPLER_CHUNK, EstimateReport, PairTable,
-                      SizeLimitError, _rng_at, clash_matrix,
-                      compatible_pairs, make_rng, sample_outcomes)
+                      SizeLimitError, _rng_at, make_rng, sample_outcomes)
 from .states import (StateVector, born_probabilities, observable_expectation,
                      walsh_hadamard)
 
@@ -46,15 +45,16 @@ class GroupingError(ValueError):
 
 @dataclass(frozen=True)
 class TermGraph:
-    """Vertices are H's traceless terms in term-table order, with their
-    (V, n) label codes; clash[a, j] is True where terms a and j are not
-    qubit-wise commuting."""
+    """H's traceless terms in term-table order with their (V, n) label
+    codes; edges join the terms that are not qubit-wise commuting.  The
+    compatible neighbours of a are neighbours[indptr[a]:indptr[a + 1]]."""
 
     labels: np.ndarray
-    clash: np.ndarray
+    indptr: np.ndarray
+    neighbours: np.ndarray
 
     def degrees(self) -> np.ndarray:
-        return self.clash.sum(axis=1)
+        return len(self.labels) - 1 - np.diff(self.indptr)
 
     def max_degree(self) -> int:
         return int(self.degrees().max(initial=0))
@@ -64,23 +64,36 @@ class TermGraph:
 
 
 def build_term_graph(h: ObservableSum) -> TermGraph:
-    return TermGraph(h.labels, clash_matrix(h))
+    a, j = h.pairs
+    off = a != j
+    key = np.concatenate([j[off], a[off]], dtype=np.int64)
+    key <<= 32      # (row, neighbour) in one word, sorted row-major
+    key[:key.size // 2] |= a[off]
+    key[key.size // 2:] |= j[off]
+    key.sort()
+    rows = np.arange(h.num_terms() + 1, dtype=np.int64) << 32
+    return TermGraph(h.labels, np.searchsorted(key, rows), key.astype(np.int32))
 
 
 def ldf_coloring(graph: TermGraph) -> list:
     """Greedy coloring in decreasing-degree order; ties broken by the
     Pauli total order.  Guarantees at most 1 + max degree colors.
-    Returns each color's term indices, in Pauli order."""
+    Returns each color's term indices, in Pauli order.  A vertex takes
+    the first color all of whose members are compatible neighbours."""
     count = len(graph.labels)
     color = np.full(count, -1)
+    sizes = np.zeros(count + 1, dtype=np.int64)
+    used = 0
     for i in np.lexsort((*graph.labels.T[::-1], -graph.degrees())):
-        # bin 0 counts the uncolored neighbors; a free color always exists
-        used = np.bincount(color[graph.clash[i]] + 1, minlength=count + 2)
-        color[i] = np.argmin(used[1:])
+        near = color[graph.neighbours[graph.indptr[i]:graph.indptr[i + 1]]]
+        # bin 0 counts the uncolored neighbours; color `used` is free
+        seen = np.bincount(near + 1, minlength=used + 2)[1:]
+        color[i] = c = int(np.argmax(seen == sizes[:used + 1]))
+        sizes[c] += 1
+        used = max(used, c + 1)
     pauli = np.lexsort(graph.labels.T[::-1])
     members = pauli[np.argsort(color[pauli], kind="stable")]
-    sizes = np.bincount(color, minlength=color.max(initial=-1) + 1)
-    return np.split(members, np.cumsum(sizes)[:-1]) if sizes.size else []
+    return np.split(members, np.cumsum(sizes[:used - 1])) if used else []
 
 
 def representative_basis(h: ObservableSum, members) -> PauliString:
@@ -145,7 +158,10 @@ class GroupingScheme:
         h = self.h
         collections = tuple(np.asarray(members, dtype=np.int64)
                             for members in self.collections)
-        for members, basis in zip(collections, self.bases):
+        for k, (members, basis) in enumerate(zip(collections, self.bases)):
+            if members.size and kappa[k] == 0:
+                raise GroupingError(f"collection {k} is nonempty but has "
+                                    f"zero sampling weight")
             for q in map(h.string, members):
                 if not agrees_with_basis(q, basis):
                     raise GroupingError(
@@ -213,12 +229,7 @@ class GroupingScheme:
 
 def build_grouping(h: ObservableSum) -> GroupingScheme:
     """LDF coloring plus representatives and l1 sampling weights."""
-    return grouping_from_graph(h, build_term_graph(h))
-
-
-def grouping_from_graph(h: ObservableSum, graph: TermGraph) -> GroupingScheme:
-    """``build_grouping`` on the term graph ``build_term_graph(h)``."""
-    collections = ldf_coloring(graph)
+    collections = ldf_coloring(build_term_graph(h))
     bases = tuple(representative_basis(h, members) for members in collections)
     return GroupingScheme(h, tuple(collections), bases,
                           kappa_weights(h, collections))
@@ -335,10 +346,6 @@ def grouping_protocol(h: ObservableSum, scheme: GroupingScheme,
     if h.n != v.n:
         raise PauliError("qubit count mismatch")
     _check_scheme_of(h, scheme)
-    for k, members in enumerate(scheme.collections):
-        if members.size and scheme.kappa[k] <= 0:
-            raise GroupingError(
-                f"collection {k} is nonempty but has zero sampling weight")
     tables, cdfs = _group_tables(h, scheme, v)
 
     group_rng = make_rng(seed)
@@ -381,9 +388,8 @@ def grouping_exact_variance_both(h: ObservableSum, scheme: GroupingScheme,
     group = np.empty(h.num_terms(), dtype=np.int64)
     for k, members in enumerate(scheme.collections):
         group[members] = k
-    # members of one collection agree qubit-wise, so its pairs are in
-    # the pair table
-    a, j = compatible_pairs(h)
+    # members of one collection agree qubit-wise: their pairs are in h.pairs
+    a, j = h.pairs
     same = group[a] == group[j]
     a, j = a[same], j[same]
     table = PairTable(h, a, j, scale=1.0 / scheme.kappa[group[a]])

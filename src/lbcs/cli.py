@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .baselines import (GroupingError, GroupingScheme, SizeLimitError,
                         build_grouping, build_term_graph, collection_l1,
-                        grouping_exact_variance, grouping_from_graph,
-                        grouping_protocol, l1_exact_variance, l1_protocol)
+                        grouping_exact_variance, grouping_protocol,
+                        l1_exact_variance, l1_protocol)
 from .hamiltonian import (HamiltonianFormatError, ObservableSum, l1_norm,
                           load_observable)
 from .optimizer import OptimizerConfig, optimize
@@ -222,14 +222,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_group(args) -> int:
     h = load_observable(args.hamiltonian)
-    graph = build_term_graph(h)
-    scheme = grouping_from_graph(h, graph)
+    scheme = build_grouping(h)
+    max_degree = build_term_graph(h).max_degree()
     if args.out:
         scheme.save(args.out)
     payload = {
         "groups": scheme.k_groups,
-        "max_degree": graph.max_degree(),
-        "bound_holds": scheme.k_groups <= 1 + graph.max_degree(),
+        "max_degree": max_degree,
+        "bound_holds": scheme.k_groups <= 1 + max_degree,
         "per_group_l1": collection_l1(h, scheme.collections).tolist(),
         "total_l1": l1_norm(h),
         "manifest": _manifest("group", [args.hamiltonian]),

@@ -1,22 +1,29 @@
 """Pauli-sum observables: the term table, parsing and the l1 norm.
 
 ``ObservableSum`` holds H's traceless terms once, as read-only arrays in
-canonical order; every estimator, cost and sampler reads them.  File
-format: one term per line, ``<coefficient> <pauli-string>``; ``#``
-starts a comment, blank lines are ignored.  The all-identity coefficient
-is stored separately from the traceless terms.
+canonical order, and its compatible term pairs; every estimator, cost,
+sampler and the term graph read them.  File format: one term per line,
+``<coefficient> <pauli-string>``; ``#`` starts a comment, blank lines
+are ignored.  The identity coefficient is kept apart from the terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .pauli import X, Y, Z, PauliString, label_codes
 
 MAX_QUBITS = 64  # the term tables pack x and z masks into uint64
+PAIR_LIMIT = 1 << 25     # compatible term pairs a <= j of one term table
+_PAIR_BLOCK = 1 << 18    # term pairs compared at once
+
+
+class SizeLimitError(RuntimeError):
+    """An input whose tables would exceed a fixed size limit."""
 
 
 class HamiltonianFormatError(ValueError):
@@ -39,7 +46,8 @@ class ObservableSum:
     then the Pauli order I < X < Y < Z of the labels, qubit 1 first.
     Derived per instance: ``labels`` (terms, n) label codes, ``supp`` =
     x | z, and ``needed`` (n, 3), True where some term carries label
-    X, Y or Z on a qubit.  All arrays are read-only.
+    X, Y or Z on a qubit.  The compatible term pairs ``pairs`` are
+    enumerated on first use and kept.  All arrays are read-only.
     """
 
     n: int
@@ -92,6 +100,30 @@ class ObservableSum:
     def string(self, t: int) -> PauliString:
         """The Pauli string of term t."""
         return PauliString(self.n, int(self.x[t]), int(self.z[t]))
+
+    @cached_property
+    def pairs(self):
+        """Read-only int32 (a, j), a <= j, in row-major order: the term
+        pairs with no qubit carrying two different non-identity labels,
+        ((x_a ^ x_j) | (z_a ^ z_j)) & supp_a & supp_j = 0.  Computed on
+        first use about ``_PAIR_BLOCK`` term pairs at a time, keeping the
+        hits; past ``PAIR_LIMIT`` hits it raises SizeLimitError."""
+        count, x, z, supp = self.num_terms(), self.x, self.z, self.supp
+        rows = max(1, _PAIR_BLOCK // max(count, 1))
+        parts, found = [np.zeros((2, 0), dtype=np.int32)], 0
+        for s in range(0, count, rows):
+            a = slice(s, s + rows)
+            miss = (x[a, None] ^ x[s:]) | (z[a, None] ^ z[s:])
+            miss &= supp[a, None] & supp[s:]
+            hits = np.array(np.nonzero(np.triu(miss == 0)), np.int32)
+            found += hits.shape[1]
+            if found > PAIR_LIMIT:
+                raise SizeLimitError(f"{count} terms make more compatible "
+                                     f"pairs than the limit of {PAIR_LIMIT}")
+            parts.append(hits + s)
+        pairs = np.concatenate(parts, axis=1)
+        pairs.setflags(write=False)
+        return pairs[0], pairs[1]
 
 
 def parse_observable(text: str) -> ObservableSum:

@@ -85,7 +85,7 @@ def _cost_moment(h: ObservableSum, reference=None) -> SecondMoment:
         return SecondMoment(h.labels.T, h.coeffs ** 2)
     if reference.n != h.n:
         raise ValueError("reference state size mismatch")
-    return PairTable.compatible(h).moment(reference)
+    return PairTable(h, *h.pairs).moment(reference)
 
 
 def _evaluate(h: ObservableSum, moment: SecondMoment,

@@ -1,11 +1,11 @@
 """Exact algebra of n-qubit Pauli strings.
 
 Strings are stored as two n-bit integer masks (x-part, z-part) so that
-supports, basis agreement and the term tables' products and clash tests
-are word-parallel.  Qubit 1 of
-the text form (leftmost character) maps to the most significant bit of
-each mask, matching the big-endian basis-index convention used by the
-statevector engine.
+supports, basis agreement and the term tables' products and
+compatibility tests are word-parallel.  Qubit 1 of the text form
+(leftmost character) maps to the most significant bit of each mask,
+matching the big-endian basis-index convention used by the statevector
+engine.
 """
 
 from __future__ import annotations

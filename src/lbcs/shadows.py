@@ -23,9 +23,9 @@ one ``measure_state`` and ``single_shot_estimate`` per shot, lives in
 
 Every routine here reads the terms from the arrays of ``ObservableSum``
 (masks, coefficients, label codes, supports), in its canonical order.
-Exact second moments have one engine.  A ``PairTable`` lists the
-qubit-wise compatible term pairs with their product strings, matched
-positions and weights; the state enters only through the traces
+Exact second moments have one engine.  A ``PairTable`` holds the
+compatible term pairs ``ObservableSum.pairs`` with their product strings,
+matched positions and weights; the state enters only through the traces
 tr(rho S) of those products, from the state's own oracle
 (``pauli_traces`` of StateVector, SingleReference, MultiReference); a
 ``SecondMoment`` then sums weight * f(beta) * trace and its row
@@ -47,7 +47,6 @@ from .states import (BASIS_ROTATIONS, MultiReference, SingleReference,
                      SizeLimitError, StateVector)
 
 ZERO_PROBABILITY = 1e-12  # beta entries below this count as exact zeros
-PAIR_LIMIT = 1 << 26      # term pairs of one clash matrix (T^2 booleans)
 
 
 class DivergenceError(ValueError):
@@ -370,38 +369,9 @@ def run_protocol(h: ObservableSum, v: StateVector, beta: BetaDistribution,
 
 # -- pair table and second moment ---------------------------------------
 
-_PAIR_BLOCK = 1 << 18   # term pairs compared at once
-
-
-def clash_matrix(h: ObservableSum) -> np.ndarray:
-    """(terms, terms) booleans, True where two terms are not qubit-wise
-    compatible: some qubit carries two different non-identity labels.
-    Built about ``_PAIR_BLOCK`` term pairs at a time; above ``PAIR_LIMIT``
-    entries it raises SizeLimitError before allocating."""
-    count = h.num_terms()
-    if count ** 2 > PAIR_LIMIT:
-        raise SizeLimitError(
-            f"{count} terms make {count ** 2} term pairs, above "
-            f"the limit of {PAIR_LIMIT}")
-    clash = np.empty((count, count), dtype=bool)
-    rows = max(1, _PAIR_BLOCK // max(count, 1))
-    for start in range(0, count, rows):
-        a = slice(start, start + rows)
-        miss = h.x[a, None] ^ h.x
-        miss |= h.z[a, None] ^ h.z
-        miss &= h.supp[a, None] & h.supp
-        clash[a] = miss != 0
-    return clash
-
-
-def compatible_pairs(h: ObservableSum):
-    """Index arrays (a, j), a <= j, of the qubit-wise compatible term
-    pairs in row-major order."""
-    return np.nonzero(np.triu(~clash_matrix(h)))
-
-
 class PairTable:
-    """Term pairs (a, j), a <= j, that are qubit-wise compatible.
+    """Qubit-wise compatible term pairs (a, j), a <= j: ``h.pairs`` or a
+    subset of it.
 
     The product Q_a Q_j is the string with masks (x, z) = (x_a ^ x_j,
     z_a ^ z_j) and phase 1.  ``matched[i]`` is the label both terms carry
@@ -420,10 +390,6 @@ class PairTable:
         self.matched = np.empty((h.n, a.size), dtype=np.uint8)
         for i, labels in enumerate(h.labels.T):
             self.matched[i] = np.where(labels[a] == labels[j], labels[a], 0)
-
-    @classmethod
-    def compatible(cls, h: ObservableSum) -> "PairTable":
-        return cls(h, *compatible_pairs(h))
 
     def moment(self, state) -> "SecondMoment":
         """The second moment on ``state``; its traces are taken once."""
@@ -468,6 +434,6 @@ def exact_variance(h: ObservableSum, state, beta: BetaDistribution) -> float:
     _check_divergence(h, beta)
     if h.num_terms() == 0:
         return 0.0
-    second = PairTable.compatible(h).moment(state).value(reciprocal(beta))
+    second = PairTable(h, *h.pairs).moment(state).value(reciprocal(beta))
     mean0 = h.coeffs @ state.pauli_traces(h.x, h.z)
     return float(second - mean0 ** 2)

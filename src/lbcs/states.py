@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ObservableSum
+from .hamiltonian import ObservableSum, SizeLimitError
 from .pauli import I, X, Y, Z, PauliError, PauliString
 
 _NORM_TOL = 1e-10
@@ -26,10 +26,6 @@ _NORM_TOL = 1e-10
 
 class StateError(ValueError):
     pass
-
-
-class SizeLimitError(RuntimeError):
-    """An input whose tables would exceed a fixed size limit."""
 
 
 class ConvergenceError(RuntimeError):

@@ -244,6 +244,9 @@ BAD_SCHEMES = {
     "kappa-nan": ({"collections": [["XX"], ["ZZ", "ZI"]],
                    "bases": ["XX", "ZZ"], "kappa": [NAN, 1.0]},
                   "probability vector"),
+    "zero-kappa": ({"collections": [["XX"], ["ZZ", "ZI"]],
+                    "bases": ["XX", "ZZ"], "kappa": [1.0, 0.0]},
+                   "collection 1 is nonempty but has zero sampling weight"),
     "wrong-basis": ({"collections": [["XX"], ["ZZ", "ZI"]],
                      "bases": ["XZ", "ZZ"], "kappa": [0.5, 0.5]},
                     "does not agree"),

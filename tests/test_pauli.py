@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +5,7 @@ from hypothesis import strategies as st
 
 from lbcs import PauliString, agrees_with_basis
 from lbcs.pauli import I, X, Y, Z, PauliError
-from lbcs.shadows import (BetaDistribution, PairTable, clash_matrix,
-                          compatible_pairs, uniform_beta)
+from lbcs.shadows import BetaDistribution, PairTable, uniform_beta
 
 import oracles
 from oracles import f_factor
@@ -19,10 +16,13 @@ def P(text):
 
 
 def qubitwise_commute(a, b):
-    """The complement of clash_matrix's entry for the strings a and b."""
-    x, z = oracles.masks([P(a), P(b)])
-    table = SimpleNamespace(x=x, z=z, supp=x | z, num_terms=lambda: 2)
-    return not clash_matrix(table)[0, 1]
+    """Whether the term table of H = P(a) + 2 P(b) lists the two strings
+    as a compatible pair.  The identity is no term and equal strings are
+    one; both commute qubit-wise."""
+    if P(a).is_identity() or P(b).is_identity() or a == b:
+        return True
+    h = oracles.observable(len(a), {P(a): 1.0, P(b): 2.0})
+    return h.pairs[0].tolist() == [0, 0, 1]
 
 
 def pair_table(*strings):
@@ -30,7 +30,7 @@ def pair_table(*strings):
     pairs and their PairTable."""
     h = oracles.observable(
         strings[0].n, {q: 1.0 for q in strings if not q.is_identity()})
-    a, j = compatible_pairs(h)
+    a, j = h.pairs
     return h, a, j, PairTable(h, a, j)
 
 
@@ -135,7 +135,7 @@ class TestProduct:
 
 
 class TestQubitwiseCommute:
-    """Qubit-wise commutation is the complement of ``clash_matrix``."""
+    """Qubit-wise commutation is the relation ``ObservableSum.pairs``."""
 
     @pytest.mark.parametrize("a,b,expected", [
         ("XX", "XI", True),

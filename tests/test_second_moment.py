@@ -11,17 +11,16 @@ import warnings
 import numpy as np
 import pytest
 
-from lbcs import (BetaDistribution, MultiReference, OptimizerConfig,
-                  SingleReference, StateVector, build_grouping, cost_diag,
-                  cost_full, cost_multiref, exact_variance,
-                  grouping_exact_variance_both, optimize, parse_observable,
-                  uniform_beta)
+from lbcs import (BetaDistribution, MultiReference, ObservableSum,
+                  OptimizerConfig, SingleReference, StateVector,
+                  build_grouping, cost_diag, cost_full, cost_multiref,
+                  exact_variance, grouping_exact_variance_both, optimize,
+                  parse_observable, uniform_beta)
 from lbcs.baselines import SizeLimitError
 from lbcs.cli import main
 from lbcs.pauli import PauliError
-from lbcs import shadows, states
+from lbcs import hamiltonian, states
 from lbcs.optimizer import DivergenceWarning
-from lbcs.shadows import compatible_pairs
 
 import oracles
 
@@ -329,7 +328,7 @@ def test_trace_oracles_match_dense(rng, monkeypatch, kind):
 
 
 def test_compatible_pairs_in_blocks(rng, monkeypatch):
-    monkeypatch.setattr(shadows, "_PAIR_BLOCK", 7)
+    monkeypatch.setattr(hamiltonian, "_PAIR_BLOCK", 7)
     for _ in range(10):
         n = int(rng.integers(1, 6))
         h = oracles.random_hamiltonian(rng, n, max_terms=12)
@@ -337,31 +336,91 @@ def test_compatible_pairs_in_blocks(rng, monkeypatch):
         want = [(a, j) for a in range(len(texts))
                 for j in range(a, len(texts))
                 if oracles.strings_qubitwise_commute(texts[a], texts[j])]
-        got = list(zip(*(p.tolist() for p in compatible_pairs(h))))
+        got = list(zip(*(p.tolist() for p in h.pairs)))
         assert got == want
 
 
+H3 = "1.0 XX\n0.5 ZZ\n0.3 ZI\n"      # 3 terms, 4 compatible pairs a <= j
+LIMIT_MESSAGE = "3 terms make more compatible pairs than the limit of 3"
+
+
 def test_pair_table_size_limit(monkeypatch, capsys, tmp_path):
-    text = "1.0 XX\n0.5 ZZ\n0.3 ZI\n"         # 3 terms, 9 term pairs
-    h = parse_observable(text)
+    h = parse_observable(H3)
     v = StateVector.from_bits("00")
-    monkeypatch.setattr(shadows, "PAIR_LIMIT", 8)
-    with pytest.raises(SizeLimitError, match="3 terms make 9 term pairs, "
-                                             "above the limit of 8"):
+    monkeypatch.setattr(hamiltonian, "PAIR_LIMIT", 3)
+    with pytest.raises(SizeLimitError, match=LIMIT_MESSAGE):
         exact_variance(h, v, uniform_beta(2))
-    (tmp_path / "h.txt").write_text(text)
+    (tmp_path / "h.txt").write_text(H3)
     np.save(tmp_path / "v.npy", v.amplitudes)
     code = main(["variance", "--hamiltonian", str(tmp_path / "h.txt"),
                  "--estimator", "shadows", "--state", str(tmp_path / "v.npy")])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == ("error: 3 terms make 9 term pairs, above the "
-                            "limit of 8\n")
-    monkeypatch.setattr(shadows, "PAIR_LIMIT", 9)
+    assert captured.err == f"error: {LIMIT_MESSAGE}\n"
+    monkeypatch.setattr(hamiltonian, "PAIR_LIMIT", 4)
     assert exact_variance(h, v, uniform_beta(2)) == pytest.approx(
         oracles.shadow_variance(h, v.amplitudes, uniform_beta(2).rows),
         abs=1e-10)
+
+
+H_LIMIT = ("0.9 XXII\n-0.7 ZZII\n0.5 ZIZI\n0.4 IXXI\n-0.3 IIZZ\n"
+           "0.2 YYII\n0.1 IIIX\n")
+LIMIT_COMMANDS = {
+    "group": ["group"],
+    "variance": ["variance", "--estimator", "shadows", "--state", "{v}"],
+}
+
+
+def _run_limit_command(argv, tmp_path, capsys):
+    (tmp_path / "h.txt").write_text(H_LIMIT)
+    np.save(tmp_path / "v.npy", oracles.random_state(
+        np.random.Generator(np.random.Philox(key=5)), 4).amplitudes)
+    argv = [a.format(v=tmp_path / "v.npy") for a in argv]
+    code = main(argv + ["--hamiltonian", str(tmp_path / "h.txt")])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", sorted(LIMIT_COMMANDS))
+def test_pair_limit_counts_compatible_pairs(command, monkeypatch, tmp_path,
+                                            capsys):
+    """The limit bounds the pairs a <= j that are stored, not T^2."""
+    texts = oracles.term_texts(parse_observable(H_LIMIT))
+    pairs = sum(oracles.strings_qubitwise_commute(texts[a], texts[j])
+                for a in range(len(texts)) for j in range(a, len(texts)))
+    assert pairs < len(texts) ** 2
+    argv = LIMIT_COMMANDS[command]
+    want = _run_limit_command(argv, tmp_path, capsys)
+    assert want[0] == 0
+    monkeypatch.setattr(hamiltonian, "PAIR_LIMIT", pairs)
+    assert _run_limit_command(argv, tmp_path, capsys) == want
+    monkeypatch.setattr(hamiltonian, "PAIR_LIMIT", pairs - 1)
+    code, captured = _run_limit_command(argv, tmp_path, capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {len(texts)} terms make more "
+                            f"compatible pairs than the limit of "
+                            f"{pairs - 1}\n")
+
+
+def test_pairs_enumerated_once(monkeypatch, tmp_path):
+    """One compare enumerates H's compatible pairs once; the cached
+    arrays are read-only like the rest of the term table."""
+    calls = []
+    pairs = vars(ObservableSum)["pairs"]
+    enumerate_pairs = pairs.func
+    monkeypatch.setattr(pairs, "func",
+                        lambda h: calls.append(h) or enumerate_pairs(h))
+    (tmp_path / "h.txt").write_text(H_LIMIT)
+    assert main(["compare", "--hamiltonian", str(tmp_path / "h.txt"),
+                 "--bits", "1100"]) == 0
+    assert len(calls) == 1
+    h = parse_observable(H_LIMIT)
+    assert h.pairs is h.pairs
+    for index in h.pairs:
+        assert index.dtype == np.int32
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 1
 
 
 def test_exact_variance_rejects_state_of_other_size():
