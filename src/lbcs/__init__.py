@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .pauli import PauliString, agrees_with_basis
+from .pauli import PauliString
 from .hamiltonian import (ObservableSum, parse_observable, load_observable,
                           l1_norm)
 from .states import (StateVector, SingleReference, MultiReference,

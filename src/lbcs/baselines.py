@@ -5,7 +5,9 @@ rescale by the inverse sampling weight.  Grouping colors the term graph
 greedily, largest degree first.  Its edges join the pairs that are not
 qubit-wise commuting (XX and YY commute but clash); it is stored as their
 complement, the pair list ``h.pairs`` the variances also read.  Colors
-become qubit-wise-commuting collections measured in one shared basis each.
+become collections of term indices, each checked against and measured in
+one shared full-weight basis; term text exists only in scheme files and
+error messages.
 
 Both samplers stream shots in chunks of ``_SAMPLER_CHUNK``, so memory
 does not grow with the shot count.  Each consumes the run seed's Philox
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import HamiltonianFormatError, ObservableSum, l1_norm
-from .pauli import I, Z, PauliError, PauliString, agrees_with_basis
+from .pauli import I, Z, PauliError, PauliString, label_texts
 from .shadows import (_SAMPLER_CHUNK, EstimateReport, PairTable,
                       SizeLimitError, _rng_at, make_rng, sample_outcomes)
 from .states import (StateVector, born_probabilities, observable_expectation,
@@ -110,14 +112,19 @@ def representative_basis(h: ObservableSum, members) -> PauliString:
     return PauliString.from_labels(np.where(top == I, Z, top).tolist())
 
 
+def _owners(collections):
+    """(collection index, term index) of each member, in member order."""
+    sizes = [len(members) for members in collections]
+    terms = np.concatenate([np.zeros(0, dtype=np.int64), *collections])
+    return np.repeat(np.arange(len(sizes)), sizes), terms
+
+
 def collection_l1(h: ObservableSum, collections) -> np.ndarray:
     """l1 mass sum_t |alpha_t| of each collection's terms, added in
     member order."""
-    sizes = [len(members) for members in collections]
-    terms = np.concatenate([np.zeros(0, dtype=np.int64), *collections])
-    return np.bincount(np.repeat(np.arange(len(sizes)), sizes),
-                       weights=np.abs(h.coeffs[terms]),
-                       minlength=len(sizes))
+    owner, terms = _owners(collections)
+    return np.bincount(owner, weights=np.abs(h.coeffs[terms]),
+                       minlength=len(collections))
 
 
 def kappa_weights(h: ObservableSum, collections) -> np.ndarray:
@@ -131,12 +138,6 @@ def kappa_weights(h: ObservableSum, collections) -> np.ndarray:
     return kappa / kappa.sum()
 
 
-def _scheme_string(text) -> PauliString:
-    if not isinstance(text, str):
-        raise GroupingError(f"scheme entry {text!r} is not a Pauli string")
-    return PauliString.from_text(text)
-
-
 @dataclass(frozen=True, eq=False)
 class GroupingScheme:
     """A partition of H's terms into collections: collection k holds the
@@ -145,7 +146,7 @@ class GroupingScheme:
 
     h: ObservableSum
     collections: tuple        # of int64 term-index arrays into h
-    bases: tuple              # of full-weight PauliString
+    bases: tuple              # of full-weight h.n-qubit PauliString
     kappa: np.ndarray
 
     def __post_init__(self):
@@ -156,33 +157,47 @@ class GroupingScheme:
         if not (np.all(kappa >= 0) and abs(kappa.sum() - 1.0) <= 1e-12):
             raise GroupingError("kappa must be a probability vector")
         h = self.h
+        for k, basis in enumerate(self.bases):
+            if basis.n != h.n or not basis.is_full_weight():
+                raise GroupingError(f"basis {k} ({basis}) is not a "
+                                    f"full-weight {h.n}-qubit string")
         collections = tuple(np.asarray(members, dtype=np.int64)
                             for members in self.collections)
-        for k, (members, basis) in enumerate(zip(collections, self.bases)):
-            if members.size and kappa[k] == 0:
-                raise GroupingError(f"collection {k} is nonempty but has "
-                                    f"zero sampling weight")
-            for q in map(h.string, members):
-                if not agrees_with_basis(q, basis):
-                    raise GroupingError(
-                        f"{q} does not agree with its basis {basis}")
-        times = np.bincount(np.concatenate([np.zeros(0, dtype=np.int64),
-                                            *collections]),
-                            minlength=h.num_terms())
+        owner, terms = _owners(collections)
+        idle = (np.bincount(owner, minlength=len(kappa)) > 0) & (kappa == 0)
+        if np.any(idle):
+            raise GroupingError(f"collection {np.argmax(idle)} is nonempty "
+                                f"but has zero sampling weight")
+        bx, bz = np.array([(b.x_mask, b.z_mask) for b in self.bases],
+                          dtype=np.uint64)[owner].T
+        miss = ((h.x[terms] ^ bx) | (h.z[terms] ^ bz)) & h.supp[terms]
+        if np.any(miss):
+            i = np.argmax(miss != 0)
+            raise GroupingError(f"{label_texts(h.labels)[terms[i]]} does not "
+                                f"agree with its basis {self.bases[owner[i]]}")
+        times = np.bincount(terms, minlength=h.num_terms())
         if np.any(times != 1):
             t = np.argmax(times != 1)
-            raise GroupingError(f"scheme lists term {h.string(t)} "
-                                f"{times[t]} times, not once")
+            raise GroupingError(f"scheme lists term {label_texts(h.labels)[t]}"
+                                f" {times[t]} times, not once")
         object.__setattr__(self, "collections", collections)
         object.__setattr__(self, "kappa", kappa)
+
+    @classmethod
+    def of_collections(cls, h: ObservableSum, collections) -> "GroupingScheme":
+        """Collections measured in representative bases, drawn by l1 mass."""
+        bases = tuple(representative_basis(h, members)
+                      for members in collections)
+        return cls(h, tuple(collections), bases, kappa_weights(h, collections))
 
     @property
     def k_groups(self) -> int:
         return len(self.collections)
 
     def to_dict(self) -> dict:
+        texts = label_texts(self.h.labels)
         return {
-            "collections": [[self.h.string(t).to_text() for t in members]
+            "collections": [[texts[t] for t in members]
                             for members in self.collections],
             "bases": [b.to_text() for b in self.bases],
             "kappa": self.kappa.tolist(),
@@ -191,13 +206,22 @@ class GroupingScheme:
     @classmethod
     def from_dict(cls, data, h: ObservableSum) -> "GroupingScheme":
         """The scheme of a JSON object, its strings resolved against H's
-        terms."""
+        terms through one text -> term index map."""
         if not isinstance(data, dict):
             raise GroupingError("scheme must be a JSON object")
+        index = dict(zip(label_texts(h.labels), range(h.num_terms())))
+
+        def text(entry) -> str:
+            if not isinstance(entry, str):
+                raise GroupingError(f"scheme entry {entry!r} is not a Pauli "
+                                    f"string")
+            return entry.upper()
+
         try:
-            collections = tuple(tuple(_scheme_string(t) for t in coll)
+            collections = tuple(tuple(map(text, coll))
                                 for coll in data["collections"])
-            bases = tuple(_scheme_string(t) for t in data["bases"])
+            bases = tuple(PauliString.from_text(text(b))
+                          for b in data["bases"])
             kappa = np.asarray(data["kappa"], dtype=float)
         except KeyError as exc:
             raise GroupingError(f"scheme has no {exc} key") from None
@@ -207,7 +231,6 @@ class GroupingScheme:
             raise GroupingError("scheme has no bases")
         if kappa.ndim != 1:
             raise GroupingError("kappa must be a list of numbers")
-        index = {h.string(t): t for t in range(h.num_terms())}
         try:
             rows = tuple(np.array([index[q] for q in coll], dtype=np.int64)
                          for coll in collections)
@@ -229,10 +252,7 @@ class GroupingScheme:
 
 def build_grouping(h: ObservableSum) -> GroupingScheme:
     """LDF coloring plus representatives and l1 sampling weights."""
-    collections = ldf_coloring(build_term_graph(h))
-    bases = tuple(representative_basis(h, members) for members in collections)
-    return GroupingScheme(h, tuple(collections), bases,
-                          kappa_weights(h, collections))
+    return GroupingScheme.of_collections(h, ldf_coloring(build_term_graph(h)))
 
 
 # -- l1 sampling ----------------------------------------------------------
@@ -386,8 +406,8 @@ def grouping_exact_variance_both(h: ObservableSum, scheme: GroupingScheme,
     """
     _check_scheme_of(h, scheme)
     group = np.empty(h.num_terms(), dtype=np.int64)
-    for k, members in enumerate(scheme.collections):
-        group[members] = k
+    owner, terms = _owners(scheme.collections)
+    group[terms] = owner
     # members of one collection agree qubit-wise: their pairs are in h.pairs
     a, j = h.pairs
     same = group[a] == group[j]

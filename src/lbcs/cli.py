@@ -22,7 +22,7 @@ from . import __version__
 from .baselines import (GroupingError, GroupingScheme, SizeLimitError,
                         build_grouping, build_term_graph, collection_l1,
                         grouping_exact_variance, grouping_protocol,
-                        l1_exact_variance, l1_protocol)
+                        l1_exact_variance, l1_protocol, ldf_coloring)
 from .hamiltonian import (HamiltonianFormatError, ObservableSum, l1_norm,
                           load_observable)
 from .optimizer import OptimizerConfig, optimize
@@ -174,6 +174,8 @@ def _emit_rows(rows, header, args, manifest):
 def cmd_variance(args) -> int:
     h = load_observable(args.hamiltonian)
     estimators = [e.strip() for e in args.estimator.split(",") if e.strip()]
+    if not estimators:
+        raise HamiltonianFormatError("no estimator given")
     for name in estimators:
         if name not in ESTIMATORS:
             raise HamiltonianFormatError(f"unknown estimator {name!r}")
@@ -222,14 +224,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_group(args) -> int:
     h = load_observable(args.hamiltonian)
-    scheme = build_grouping(h)
-    max_degree = build_term_graph(h).max_degree()
+    graph = build_term_graph(h)
+    scheme = GroupingScheme.of_collections(h, ldf_coloring(graph))
     if args.out:
         scheme.save(args.out)
     payload = {
         "groups": scheme.k_groups,
-        "max_degree": max_degree,
-        "bound_holds": scheme.k_groups <= 1 + max_degree,
+        "max_degree": graph.max_degree(),
+        "bound_holds": scheme.k_groups <= 1 + graph.max_degree(),
         "per_group_l1": collection_l1(h, scheme.collections).tolist(),
         "total_l1": l1_norm(h),
         "manifest": _manifest("group", [args.hamiltonian]),

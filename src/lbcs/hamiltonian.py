@@ -47,7 +47,8 @@ class ObservableSum:
     Derived per instance: ``labels`` (terms, n) label codes, ``supp`` =
     x | z, and ``needed`` (n, 3), True where some term carries label
     X, Y or Z on a qubit.  The compatible term pairs ``pairs`` are
-    enumerated on first use and kept.  All arrays are read-only.
+    enumerated on first use and kept.  All arrays are read-only.  A term
+    is its row index; ``label_texts`` spells it only for files and errors.
     """
 
     n: int
@@ -96,10 +97,6 @@ class ObservableSum:
 
     def num_terms(self) -> int:
         return self.coeffs.size
-
-    def string(self, t: int) -> PauliString:
-        """The Pauli string of term t."""
-        return PauliString(self.n, int(self.x[t]), int(self.z[t]))
 
     @cached_property
     def pairs(self):

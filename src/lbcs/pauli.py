@@ -1,11 +1,11 @@
-"""Exact algebra of n-qubit Pauli strings.
+"""n-qubit Pauli strings as masks, label codes and text.
 
-Strings are stored as two n-bit integer masks (x-part, z-part) so that
-supports, basis agreement and the term tables' products and
-compatibility tests are word-parallel.  Qubit 1 of the text form
-(leftmost character) maps to the most significant bit of each mask,
-matching the big-endian basis-index convention used by the statevector
-engine.
+A string is two n-bit integer masks (x-part, z-part), so that supports
+and the term tables' products and compatibility tests are word-parallel.
+Qubit 1 of the text form (leftmost character) maps to the most
+significant bit of each mask, matching the big-endian basis-index
+convention of the statevector engine.  ``PauliString`` holds one basis or
+parsed line; the text of term-table rows comes from ``label_texts``.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import numpy as np
 I, X, Y, Z = 0, 1, 2, 3
 LABEL_CHARS = "IXYZ"
 
-# code -> (x bit, z bit)
 _CODE_TO_BITS = {I: (0, 0), X: (1, 0), Y: (1, 1), Z: (0, 1)}
-_BITS_TO_CODE = {v: k for k, v in _CODE_TO_BITS.items()}
 _CODE_OF_BITS = np.array([[I, Z], [X, Y]])   # indexed [x bit, z bit]
+_CHAR_OF_CODE = np.frombuffer(LABEL_CHARS.encode(), dtype=np.uint8)
 
 
 class PauliError(ValueError):
@@ -43,19 +42,14 @@ class PauliString:
         if self.x_mask & ~full or self.z_mask & ~full:
             raise PauliError("mask bits outside the qubit range")
 
-    # -- construction ------------------------------------------------
-
     @classmethod
     def from_labels(cls, labels) -> "PauliString":
         labels = list(labels)
-        n = len(labels)
         x = z = 0
-        for i, code in enumerate(labels):
+        for code in labels:
             xb, zb = _CODE_TO_BITS[code]
-            bit = 1 << (n - 1 - i)
-            x |= xb * bit
-            z |= zb * bit
-        return cls(n, x, z)
+            x, z = 2 * x + xb, 2 * z + zb
+        return cls(len(labels), x, z)
 
     @classmethod
     def from_text(cls, text: str) -> "PauliString":
@@ -64,16 +58,13 @@ class PauliString:
         except ValueError:
             bad = next(c for c in text.upper() if c not in LABEL_CHARS)
             raise PauliError(f"invalid Pauli character {bad!r} in {text!r}") from None
-        if not codes:
-            raise PauliError("empty Pauli string")
         return cls.from_labels(codes)
-
-    # -- views -------------------------------------------------------
 
     def label(self, i: int) -> int:
         """Label code on qubit i (0-based, leftmost qubit is 0)."""
         bit = self.n - 1 - i
-        return _BITS_TO_CODE[((self.x_mask >> bit) & 1, (self.z_mask >> bit) & 1)]
+        return int(_CODE_OF_BITS[(self.x_mask >> bit) & 1,
+                                 (self.z_mask >> bit) & 1])
 
     def labels(self) -> tuple:
         return tuple(self.label(i) for i in range(self.n))
@@ -81,10 +72,7 @@ class PauliString:
     def to_text(self) -> str:
         return "".join(LABEL_CHARS[c] for c in self.labels())
 
-    def __str__(self) -> str:
-        return self.to_text()
-
-    # -- structure ---------------------------------------------------
+    __str__ = to_text
 
     @property
     def support_mask(self) -> int:
@@ -97,11 +85,6 @@ class PauliString:
         return self.support_mask == (1 << self.n) - 1
 
 
-def _check_same_n(p: PauliString, q: PauliString):
-    if p.n != q.n:
-        raise PauliError(f"qubit count mismatch: {p.n} vs {q.n}")
-
-
 def label_codes(x_masks: np.ndarray, z_masks: np.ndarray,
                 n: int) -> np.ndarray:
     """(count, n) label codes of the n-qubit strings given by uint64
@@ -112,10 +95,7 @@ def label_codes(x_masks: np.ndarray, z_masks: np.ndarray,
                          (z_masks[:, None] >> shift) & one]
 
 
-def agrees_with_basis(q: PauliString, p: PauliString) -> bool:
-    """True iff Q_i in {I, P_i} for every qubit; P must be full-weight."""
-    _check_same_n(q, p)
-    if not p.is_full_weight():
-        raise PauliError("basis operator must be full-weight")
-    differ = (q.x_mask ^ p.x_mask) | (q.z_mask ^ p.z_mask)
-    return differ & q.support_mask == 0
+def label_texts(labels: np.ndarray) -> list:
+    """The text of each row of (count, n) label codes, qubit 1 first."""
+    chars = _CHAR_OF_CODE[labels]
+    return chars.view(f"S{chars.shape[1]}").ravel().astype(str).tolist()

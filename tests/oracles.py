@@ -16,7 +16,7 @@ import numpy as np
 
 from lbcs import (BetaDistribution, ObservableSum, StateVector,
                   parse_observable)
-from lbcs.pauli import I, PauliError, PauliString, _check_same_n
+from lbcs.pauli import I, PauliError, PauliString
 from lbcs.shadows import sample_basis_labels, sample_outcomes
 from lbcs.states import born_probabilities
 
@@ -44,13 +44,18 @@ def observable(n, terms, identity=0.0):
     return parse_observable("\n".join(lines))
 
 
+def term_string(h, t):
+    """The PauliString of term t, from its masks."""
+    return PauliString(h.n, int(h.x[t]), int(h.z[t]))
+
+
 def term_dict(h):
     """{PauliString: coefficient} of H's terms, in term-table order."""
-    return {h.string(t): float(a) for t, a in enumerate(h.coeffs)}
+    return {term_string(h, t): float(a) for t, a in enumerate(h.coeffs)}
 
 
 def term_texts(h):
-    return [h.string(t).to_text() for t in range(h.num_terms())]
+    return [term_string(h, t).to_text() for t in range(h.num_terms())]
 
 
 def apply_pauli(q, amps):
@@ -173,7 +178,7 @@ def _group_sum_law(h, coll, basis_text, v):
         total = 0.0
         for t in coll:
             mu = 1
-            for i, c in enumerate(h.string(t).to_text()):
+            for i, c in enumerate(term_string(h, t).to_text()):
                 if c != "I":
                     mu *= signs[i]
             total += h.coeffs[t] * mu
@@ -222,9 +227,14 @@ def strings_qubitwise_commute(s, t):
     return all(a == "I" or b == "I" or a == b for a, b in zip(s, t))
 
 
+def string_agrees_with_basis(s, basis):
+    """Character-level: every non-identity label of s is basis's label."""
+    return all(a == "I" or a == b for a, b in zip(s, basis))
+
+
 def coloring_is_proper(h, collections):
     for coll in collections:
-        texts = [h.string(t).to_text() for t in coll]
+        texts = [term_string(h, t).to_text() for t in coll]
         for a in range(len(texts)):
             for b in range(a + 1, len(texts)):
                 if not strings_qubitwise_commute(texts[a], texts[b]):
@@ -415,6 +425,11 @@ def single_shot_estimate(h: ObservableSum, record: MeasurementRecord,
                 mu *= record.outcomes[i]
         total += a * f * mu
     return total
+
+
+def _check_same_n(p: PauliString, q: PauliString):
+    if p.n != q.n:
+        raise PauliError(f"qubit count mismatch: {p.n} vs {q.n}")
 
 
 def f_factor(p: PauliString, q: PauliString, beta) -> float:

@@ -109,6 +109,14 @@ class TestGroupingScheme:
         assert again.bases == scheme.bases
         assert np.allclose(again.kappa, scheme.kappa)
 
+    def test_lowercase_strings_resolve(self):
+        h = parse_observable("1.0 XX\n0.5 ZI\n-0.25 ZZ\n")
+        scheme = GroupingScheme.from_dict(
+            {"collections": [["xx"], ["zi", "Zz"]], "bases": ["xx", "zZ"],
+             "kappa": [0.5, 0.5]}, h)
+        assert scheme.to_dict()["collections"] == [["XX"], ["ZI", "ZZ"]]
+        assert scheme.to_dict()["bases"] == ["XX", "ZZ"]
+
     def test_misaligned_basis_rejected(self):
         h = parse_observable("1.0 X\n")
         with pytest.raises(GroupingError, match="does not agree"):
@@ -124,6 +132,77 @@ class TestGroupingScheme:
         scheme = build_grouping(parse_observable("1.0 XX\n0.5 ZI\n"))
         with pytest.raises(GroupingError, match="another Hamiltonian"):
             grouping_protocol(h, scheme, StateVector.from_bits("00"), 10, 1)
+
+
+def scheme_of(h, collections, bases):
+    """The scheme drawing each of the collections with equal weight."""
+    return GroupingScheme(h, tuple(np.array(c, dtype=np.int64)
+                                   for c in collections),
+                          tuple(map(P, bases)),
+                          np.full(len(bases), 1.0 / len(bases)))
+
+
+def random_basis(rng, members, n):
+    """A basis text for the member texts: on each qubit the first
+    non-identity member label, else a random one; sometimes one qubit
+    redrawn from IXYZ, sometimes one qubit too many."""
+    chars = [next((m[i] for m in members if m[i] != "I"), None)
+             or str(rng.choice(list("XYZ"))) for i in range(n)]
+    if rng.random() < 0.3:
+        chars[int(rng.integers(n))] = str(rng.choice(list("IXYZ")))
+    if rng.random() < 0.05:
+        chars.append(str(rng.choice(list("XYZ"))))
+    return "".join(chars)
+
+
+class TestSchemeCheck:
+    """Every basis must be a full-weight string of H's qubit count, and
+    every member must agree with it: Q_i in {I, P_i} on every qubit."""
+
+    H = parse_observable("1.0 XIZ\n0.5 XXZ\n")      # terms XIZ, XXZ
+
+    def test_examples(self):
+        # an empty collection stands for the identity, which agrees
+        scheme_of(self.H, [[0], [1], []], ["XYZ", "XXZ", "XYZ"])
+        with pytest.raises(GroupingError,
+                           match="XXZ does not agree with its basis XYZ"):
+            scheme_of(self.H, [[0, 1], []], ["XYZ", "XYZ"])
+
+    @pytest.mark.parametrize("basis", ["XIZ", "XXZZ", "XZ"])
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_basis_must_be_full_weight(self, basis, empty):
+        collections = [[0, 1], []] if empty else [[0], [1]]
+        with pytest.raises(GroupingError,
+                           match=f"basis 1 \\({basis}\\) is not a "
+                                 f"full-weight 3-qubit string"):
+            scheme_of(self.H, collections, ["XXZ", basis])
+
+    def test_matches_character_oracle(self, rng):
+        verdicts = []
+        for case in range(300):
+            n = int(rng.integers(1, 7))
+            h = oracles.random_hamiltonian(rng, n, max_terms=8)
+            texts = oracles.term_texts(h)
+            if case % 2:
+                collections = list(build_grouping(h).collections)
+                collections.insert(int(rng.integers(len(collections) + 1)),
+                                   np.zeros(0, dtype=np.int64))
+            else:
+                k = int(rng.integers(1, h.num_terms() + 2))
+                owner = rng.integers(0, k, size=h.num_terms())
+                collections = [np.flatnonzero(owner == c) for c in range(k)]
+            bases = [random_basis(rng, [texts[t] for t in c], n)
+                     for c in collections]
+            want = all(len(b) == n and "I" not in b and all(
+                oracles.string_agrees_with_basis(texts[t], b) for t in c)
+                for c, b in zip(collections, bases))
+            if want:
+                scheme_of(h, collections, bases)
+            else:
+                with pytest.raises(GroupingError):
+                    scheme_of(h, collections, bases)
+            verdicts.append(want)
+        assert 40 <= sum(verdicts) <= 260
 
 
 class TestL1:

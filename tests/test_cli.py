@@ -185,6 +185,23 @@ class TestGroup:
         assert data["max_degree"] == 2
         assert data["bound_holds"] is True
 
+    def test_term_graph_built_once(self, capsys, monkeypatch, ham_2q):
+        from lbcs import baselines
+
+        graphs = []
+        build = baselines.build_term_graph
+
+        def counted(h):
+            graphs.append(build(h))
+            return graphs[-1]
+
+        monkeypatch.setattr(baselines, "build_term_graph", counted)
+        monkeypatch.setattr(cli, "build_term_graph", counted)
+        code, out = run(capsys, ["group", "--hamiltonian", ham_2q])
+        assert code == 0
+        assert len(graphs) == 1
+        assert json.loads(out)["max_degree"] == graphs[0].max_degree()
+
     def test_scheme_out_reusable(self, capsys, tmp_path, ham_2q):
         scheme_path = tmp_path / "scheme.json"
         code, _ = run(capsys, ["group", "--hamiltonian", ham_2q,
@@ -256,6 +273,14 @@ BAD_SCHEMES = {
     "top-level-list": ([["XX"], ["ZZ", "ZI"]], "JSON object"),
     "non-string": ({"collections": [[1]], "bases": ["XX"], "kappa": [1.0]},
                    "1 is not a Pauli string"),
+    "empty-collection-4-qubit-basis": (
+        {"collections": [["XX"], ["ZZ", "ZI"], []],
+         "bases": ["XX", "ZZ", "XXXX"], "kappa": [0.5, 0.5, 0.0]},
+        "basis 2 (XXXX) is not a full-weight 2-qubit string"),
+    "empty-collection-identity-basis": (
+        {"collections": [["XX"], ["ZZ", "ZI"], []],
+         "bases": ["XX", "ZZ", "II"], "kappa": [0.5, 0.5, 0.0]},
+        "basis 2 (II) is not a full-weight 2-qubit string"),
 }
 SCHEME_COMMANDS = {
     "variance": ["variance", "--estimator", "ldf"],
@@ -323,6 +348,10 @@ ERROR_CASES = [
 ] + [
     pytest.param(["variance", "--estimator", "l1,bogus"], H3, {},
                  "unknown estimator 'bogus'", id="variance-unknown-estimator"),
+    pytest.param(["variance", "--estimator", ","], H3, {},
+                 "no estimator given", id="variance-estimator-comma"),
+    pytest.param(["variance", "--estimator", ""], H3, {},
+                 "no estimator given", id="variance-estimator-empty"),
     pytest.param(["optimize", "--cost", "diag", "--out", "{tmp}/beta.json"],
                  H70, {}, "70 qubits", id="optimize-70-qubits"),
     pytest.param(["group"], H70, {}, "70 qubits", id="group-70-qubits"),

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbcs import PauliString, agrees_with_basis
-from lbcs.pauli import I, X, Y, Z, PauliError
+from lbcs import PauliString
+from lbcs.pauli import I, X, Y, Z, PauliError, label_texts
 from lbcs.shadows import BetaDistribution, PairTable, uniform_beta
 
 import oracles
@@ -67,6 +67,14 @@ class TestConstruction:
     def test_label_indexing_is_left_to_right(self):
         q = P("XIZ")
         assert [q.label(i) for i in range(3)] == [X, I, Z]
+
+    @given(st.lists(labels_strategy, min_size=0, max_size=4))
+    def test_label_texts_match_strings(self, rows):
+        n = len(rows[0]) if rows else 2
+        rows = [(r * n)[:n] for r in rows]
+        codes = np.array([P(text_from(r)).labels() for r in rows],
+                         dtype=np.uint8).reshape(-1, n)
+        assert label_texts(codes) == [text_from(r) for r in rows]
 
 
 class TestStructure:
@@ -164,17 +172,6 @@ class TestQubitwiseCommute:
             ma = oracles.dense_from_text(a)
             mb = oracles.dense_from_text(b)
             assert np.allclose(ma @ mb, mb @ ma, atol=1e-12)
-
-
-class TestBasisAgreement:
-    def test_examples(self):
-        assert agrees_with_basis(P("XIZ"), P("XYZ"))
-        assert not agrees_with_basis(P("XXZ"), P("XYZ"))
-        assert agrees_with_basis(P("III"), P("XYZ"))
-
-    def test_requires_full_weight_basis(self):
-        with pytest.raises(PauliError, match="full-weight"):
-            agrees_with_basis(P("XI"), P("XI"))
 
 
 class TestFFactor:
