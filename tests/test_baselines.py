@@ -519,6 +519,44 @@ def test_empty_collection_shots_report_identity_coefficient():
     assert report.variance == pytest.approx(4.0, rel=0.05)
 
 
+def golden_sampler_instance():
+    """An n = 8 Hamiltonian of 28 random terms and 12 Z strings (one
+    group measures ZZZZZZZZ), a random state and a sector state of
+    weight-3 outcomes, whose Z-basis CDF has long flat runs."""
+    rng = np.random.Generator(np.random.Philox(key=29))
+    n = 8
+    terms = {}
+    while len(terms) < 40:
+        labels = (rng.integers(0, 4, size=n) if len(terms) < 28
+                  else 3 * rng.integers(0, 2, size=n))
+        if labels.any():
+            terms[PauliString.from_labels(labels.tolist())] = float(
+                rng.uniform(-1, 1))
+    h = oracles.observable(n, terms, 0.25)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    sector = np.where(np.bitwise_count(np.arange(1 << n)) == 3, amps, 0)
+    return h, {"random": StateVector(n, amps / np.linalg.norm(amps)),
+               "sector": StateVector(n, sector / np.linalg.norm(sector))}
+
+
+# Recorded from the sampler that sorted each chunk by collection and
+# inverted each collection's CDF with one searchsorted
+GROUPING_SAMPLER_PINS = {
+    "random": ("0.36847958493980354", "252.01143986806792"),
+    "sector": ("0.6847066860688524", "251.14614764343315"),
+}
+
+
+@pytest.mark.parametrize("state", sorted(GROUPING_SAMPLER_PINS))
+def test_golden_grouping_sampler(state):
+    h, states = golden_sampler_instance()
+    scheme = build_grouping(h)
+    assert scheme.bases[-1] == P("ZZZZZZZZ")
+    report = grouping_protocol(h, scheme, states[state], 200_000, 11)
+    assert ((repr(report.mean), repr(report.variance))
+            == GROUPING_SAMPLER_PINS[state])
+
+
 @pytest.mark.parametrize("shots", [1, 50, 403])
 def test_sampler_reports_independent_of_chunk_size(monkeypatch, shots):
     assert SAMPLER_SHOTS[-1] > 2 * baselines._SAMPLER_CHUNK
