@@ -17,9 +17,10 @@ estimate depends only on its term and sign, or on its collection and
 outcome index, so a chunk only counts those pairs; the report comes from
 the exact counts and does not depend on the chunk size.  The grouping
 sampler tabulates each collection's estimate over all 2^n outcomes once
-(a Walsh-Hadamard transform) and keeps each basis's Born CDF; these take
-K * 2^n entries each, and above ``TABLE_ENTRY_LIMIT`` it raises
-SizeLimitError.
+(a Walsh-Hadamard transform), keeps each basis's Born CDF and a bucket
+guide to it, and draws every shot's outcome by one bucketed inversion of
+those CDFs; these take K * 2^n entries each (the guide K * (2^n + 1)
+int32 ones), and above ``TABLE_ENTRY_LIMIT`` it raises SizeLimitError.
 """
 
 from __future__ import annotations
@@ -329,7 +330,10 @@ def _group_tables(h: ObservableSum, scheme: GroupingScheme, v: StateVector):
     sum_t alpha_t / kappa_k (-1)^parity(o & supp_t), the Walsh-Hadamard
     transform of the weights placed at the members' support masks (members
     of one collection agree with one basis, so their masks differ).
-    cdfs[k] is the Born CDF of basis k, its last entry set to 1."""
+    cdfs[k] is the Born CDF of basis k, its last entry set to 1.  Above
+    ``TABLE_ENTRY_LIMIT`` entries, which also bounds the int32 guide that
+    ``_cdf_guide`` builds from the CDFs, the call raises SizeLimitError
+    before allocating them."""
     entries = scheme.k_groups << h.n
     if entries > TABLE_ENTRY_LIMIT:
         raise SizeLimitError(
@@ -346,6 +350,48 @@ def _group_tables(h: ObservableSum, scheme: GroupingScheme, v: StateVector):
     return walsh_hadamard(tables), cdfs
 
 
+def _cdf_guide(cdfs: np.ndarray) -> np.ndarray:
+    """(K, 2^n + 1) int32 bucket guide of the (K, 2^n) CDFs: guide[k, b]
+    is the flat index into ``cdfs`` of the outcome that
+    searchsorted(cdfs[k], b / 2^n, side="right") gives, clipped to the
+    last outcome, so every entry lies in row k."""
+    count, size = cdfs.shape
+    grid = np.arange(size + 1) / size      # exact: size is a power of two
+    guide = np.empty((count, size + 1), dtype=np.int32)
+    for k, cdf in enumerate(cdfs):
+        guide[k] = np.minimum(np.searchsorted(cdf, grid, side="right"),
+                              size - 1)
+        guide[k] += k * size
+    return guide
+
+
+def _invert_cdfs(flat_cdf: np.ndarray, guide: np.ndarray, which: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Flat index k * 2^n + searchsorted(cdfs[k], u, side="right") of each
+    shot, with k = ``which`` and u in [0, 1); ``flat_cdf`` is the
+    raveled CDFs and ``guide`` their ``_cdf_guide``.
+
+    Bucket b = floor(u * 2^n) (exact, as 2^n is a power of two) brackets
+    the outcome between guide[k, b] and guide[k, b + 1].  A shot whose
+    CDF exceeds u at the lower end takes it; the others bisect the rest
+    of their bracket in at most n vectorized passes, so a long run of
+    zero-probability outcomes costs no linear walk.  Every comparison is
+    the ``cdf > u`` that searchsorted makes, so the outcomes equal its."""
+    b = (u * (guide.shape[1] - 1)).astype(np.int64)
+    out = guide[which, b]
+    rest = np.flatnonzero(flat_cdf[out] <= u)
+    lo = out[rest] + 1          # the outcome lies in [lo, hi]
+    hi = guide[which[rest], b[rest] + 1]
+    ur = u[rest]
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        above = flat_cdf[mid] > ur
+        np.copyto(hi, mid, where=above)
+        np.copyto(lo, mid + 1, where=~above)
+    out[rest] = lo
+    return out
+
+
 def grouping_protocol(h: ObservableSum, scheme: GroupingScheme,
                       v: StateVector, shots: int, seed: int) -> EstimateReport:
     """Per shot: pick a collection from kappa, measure all qubits in its
@@ -353,13 +399,15 @@ def grouping_protocol(h: ObservableSum, scheme: GroupingScheme,
 
     The stream holds all collection uniforms, then all outcome uniforms.
     Shots run ``_SAMPLER_CHUNK`` at a time, each chunk reading its share
-    of both, so memory does not grow with ``shots``.  Within a chunk the
-    shots of each collection take their outcomes by one inversion of its
-    Born CDF, and the chunk adds to the counts of (collection, outcome)
-    pairs.  A pair's estimate is one entry of the collection's table
+    of both, so memory does not grow with ``shots``.  A chunk's shots take
+    their outcomes, whatever their collections, by one bucketed inversion
+    of the Born CDFs (``_invert_cdfs`` over the guide of ``_cdf_guide``),
+    and the chunk adds to the counts of (collection, outcome) pairs.  A
+    pair's estimate is one entry of the collection's table
     (``_group_tables``).  The tables, CDFs and counts hold K * 2^n entries
-    each; above ``TABLE_ENTRY_LIMIT`` the call raises SizeLimitError
-    before allocating them.
+    each and the guide K * (2^n + 1) int32 entries; above
+    ``TABLE_ENTRY_LIMIT`` the call raises SizeLimitError before allocating
+    them.  The CDFs and the guide are released before the report.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -367,6 +415,7 @@ def grouping_protocol(h: ObservableSum, scheme: GroupingScheme,
         raise PauliError("qubit count mismatch")
     _check_scheme_of(h, scheme)
     tables, cdfs = _group_tables(h, scheme, v)
+    guide = _cdf_guide(cdfs)
 
     group_rng = make_rng(seed)
     outcome_rng = _rng_at(seed, shots)
@@ -374,15 +423,9 @@ def grouping_protocol(h: ObservableSum, scheme: GroupingScheme,
     for start in range(0, shots, _SAMPLER_CHUNK):
         size = min(_SAMPLER_CHUNK, shots - start)
         which = sample_outcomes(scheme.kappa, group_rng.random(size))
-        u = outcome_rng.random(size)
-        order = np.argsort(which, kind="stable")
-        bounds = np.searchsorted(which[order],
-                                 np.arange(scheme.k_groups + 1))
-        outcomes = np.empty(size, dtype=np.int64)
-        for k in np.flatnonzero(np.diff(bounds)):
-            sel = order[bounds[k]:bounds[k + 1]]
-            outcomes[sel] = np.searchsorted(cdfs[k], u[sel], side="right")
-        np.add.at(counts, (which << h.n) + outcomes, 1)
+        np.add.at(counts, _invert_cdfs(cdfs.ravel(), guide, which,
+                                       outcome_rng.random(size)), 1)
+    del cdfs, guide             # the report reads only tables and counts
     return _histogram_report(counts, tables.ravel(), h.identity_coefficient,
                              shots, seed)
 

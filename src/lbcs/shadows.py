@@ -191,8 +191,8 @@ def inverse_factors(matched: np.ndarray, inv: np.ndarray) -> np.ndarray:
 # Shots per chunk of every sampler; reports do not depend on it, nor on
 # the two caps of run_protocol below.
 _SAMPLER_CHUNK = 1 << 15
-_TRIE_AMPLITUDES = 1 << 16    # amplitudes of one batch of trie nodes
-_ESTIMATE_ENTRIES = 1 << 18   # shots x terms entries of one estimate table
+_TRIE_AMPLITUDES = 1 << 14    # amplitudes of one batch of trie nodes
+_ESTIMATE_ENTRIES = 1 << 16   # shots x terms entries of one estimate table
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 _ROTATIONS = np.stack([BASIS_ROTATIONS[code] for code in (X, Y, Z)])
 # |c0|^2 = |r00|^2 |lo|^2 + |r01|^2 |hi|^2 + 2 Re(conj(r00) r01 <lo, hi>)
@@ -231,8 +231,9 @@ def sample_outcome_indices(amps: np.ndarray, labels: np.ndarray,
     """
     shots = labels.shape[0]
     out = np.empty(shots, dtype=np.uint64)
-    _walk_trie(amps[None, :], np.zeros(shots, dtype=np.int64), labels,
-               np.arange(shots), u, np.zeros(shots, dtype=np.uint64), 0, out)
+    _walk_trie(amps[None, :], np.zeros(shots, dtype=np.int32), labels,
+               np.arange(shots, dtype=np.int32), u,
+               np.zeros(shots, dtype=np.uint64), 0, out)
     return out
 
 
@@ -258,6 +259,7 @@ def _walk_trie(blocks, node, labels, shot, u, idx, level, out):
             break
         child, node = np.unique(6 * node + 2 * label + bit,
                                 return_inverse=True)
+        node = node.astype(np.int32)     # as narrow as the shot indices
         rows = _ROTATIONS.reshape(6, 2)[child % 6]
         parent = child // 6
         batch = max(1, _TRIE_AMPLITUDES // half)
@@ -266,7 +268,7 @@ def _walk_trie(blocks, node, labels, shot, u, idx, level, out):
             continue
         order = np.argsort(node, kind="stable")
         node, shot, u, idx = node[order], shot[order], u[order], idx[order]
-        firsts = np.arange(0, child.size, batch)
+        firsts = range(0, child.size, batch)
         bounds = np.searchsorted(node, np.append(firsts, child.size))
         for c0, s0, s1 in zip(firsts, bounds[:-1], bounds[1:]):
             c = slice(c0, c0 + batch)

@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from lbcs import (PauliString, StateVector, parse_observable, build_term_graph,
                   grouping_exact_variance_both, run_protocol, uniform_beta)
 from lbcs import baselines
 from lbcs.baselines import GroupingError, SizeLimitError
+from lbcs.states import born_probabilities
 from lbcs.cli import main
 
 import oracles
@@ -555,6 +558,67 @@ def test_golden_grouping_sampler(state):
     report = grouping_protocol(h, scheme, states[state], 200_000, 11)
     assert ((repr(report.mean), repr(report.variance))
             == GROUPING_SAMPLER_PINS[state])
+
+
+# -- the bucketed CDF inversion against searchsorted -----------------------
+
+def cdf_rows(*probs):
+    """(K, 2^n) CDFs of the rows of probabilities, last entries set to 1
+    as in the grouping tables."""
+    cdfs = np.cumsum(np.array(probs, dtype=float), axis=1)
+    cdfs[:, -1] = 1.0
+    return cdfs
+
+
+def inversion_cases():
+    _, states = golden_sampler_instance()
+    z_basis = P("ZZZZZZZZ")
+    sector = born_probabilities(states["sector"], z_basis)
+    assert np.max(np.diff(np.flatnonzero(sector))) > 16   # long flat runs
+    yield pytest.param(np.vstack([
+        cdf_rows(sector, born_probabilities(states["random"], z_basis)),
+        np.ones((1, 256))]),                # an empty collection's CDF
+        id="sector-random-empty")
+    yield pytest.param(cdf_rows([0.3, 0.7]), id="n1-k1")
+    yield pytest.param(cdf_rows([1.0, 0.0], [0.0, 1.0]), id="n1-point-masses")
+    # every CDF value on a bucket edge b / 8
+    yield pytest.param(cdf_rows([0.25, 0, 0, 0.25, 0.125, 0.125, 0.25, 0]),
+                       id="edges")
+    rng = np.random.Generator(np.random.Philox(key=71))
+    sparse = rng.dirichlet(np.ones(64), size=5) * (rng.random((5, 64)) < 0.3)
+    sparse[:, 0] += 1e-3
+    yield pytest.param(cdf_rows(*(sparse / sparse.sum(axis=1, keepdims=True))),
+                       id="sparse")
+
+
+def inversion_uniforms(cdfs, rng):
+    """Random uniforms, every CDF value below 1, every bucket edge, their
+    neighbouring doubles, 0 and the largest double below 1."""
+    edges = np.arange(cdfs.shape[1]) / cdfs.shape[1]
+    exact = np.concatenate([cdfs[cdfs < 1], edges])
+    u = np.concatenate([rng.random(2000), exact, np.nextafter(exact, 0),
+                        np.nextafter(exact, 1), [0.0, np.nextafter(1, 0)]])
+    return u[(u >= 0) & (u < 1)]
+
+
+@pytest.mark.parametrize("cdfs", inversion_cases())
+def test_cdf_inversion_matches_searchsorted(cdfs):
+    count, size = cdfs.shape
+    guide = baselines._cdf_guide(cdfs)
+    assert guide.dtype == np.int32
+    # guide[k, b]: flat index of the first outcome whose CDF exceeds b / 2^n,
+    # clipped to row k's last outcome
+    assert guide.tolist() == [
+        [k * size + min(bisect.bisect_right(cdf, b / size), size - 1)
+         for b in range(size + 1)] for k, cdf in enumerate(cdfs.tolist())]
+    rng = np.random.Generator(np.random.Philox(key=size + count))
+    u = inversion_uniforms(cdfs, rng)
+    for which in [*(np.full(u.size, k) for k in range(count)),
+                  rng.integers(0, count, size=u.size)]:
+        want = [k * size + np.searchsorted(cdfs[k], x, side="right")
+                for k, x in zip(which, u)]
+        got = baselines._invert_cdfs(cdfs.ravel(), guide, which, u)
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("shots", [1, 50, 403])
